@@ -50,10 +50,16 @@ def cross_distance_matrix(queries: Sequence, database: Sequence, measure="dtw",
 def knn_from_matrix(matrix: np.ndarray, k: int, exclude_self: bool = False) -> np.ndarray:
     """Indices of the ``k`` nearest columns for every row of a distance matrix.
 
-    Tie-breaking is deterministic: equal distances are ordered by ascending column
-    index (the sort is a stable argsort).  ``repro.search.knn_search`` guarantees
-    the identical ``(distance, index)`` order, so exact-search parity tests compare
-    index arrays directly without tolerance games.
+    Neighbours come in ascending ``(distance, index)`` order: equal distances are
+    ordered by ascending column index, ``-0.0`` equals ``0.0`` and NaN sorts after
+    every number.  ``repro.search.knn_search`` guarantees the identical order, so
+    exact-search parity tests compare index arrays directly without tolerance games.
+
+    The result equals ``np.argsort(matrix, axis=1, kind="stable")[:, :k]`` but is
+    computed by partition plus a tie fix-up: ``argpartition`` picks k columns per
+    row, which are re-ordered by ``(distance, index)``.  A row whose k-th distance
+    is tied with a column outside the pick (or is NaN) may have picked the wrong
+    members of the tie, so it alone goes through the full stable sort.
 
     Parameters
     ----------
@@ -77,13 +83,22 @@ def knn_from_matrix(matrix: np.ndarray, k: int, exclude_self: bool = False) -> n
             f"k={k} exceeds the {candidates} available candidates "
             f"({matrix.shape[1]} columns{', diagonal excluded' if exclude_self else ''})"
         )
-    working = matrix.copy()
     if exclude_self:
-        limit = min(working.shape)
-        working[np.arange(limit), np.arange(limit)] = np.inf
-    # kind="stable" is load-bearing: it pins the tie order documented above.
-    order = np.argsort(working, axis=1, kind="stable")
-    return order[:, :k]
+        matrix = matrix.copy()
+        limit = min(matrix.shape)
+        matrix[np.arange(limit), np.arange(limit)] = np.inf
+    partition = np.argpartition(matrix, k - 1, axis=1)
+    kth = np.take_along_axis(matrix, partition[:, k - 1:k], axis=1)
+    picked = np.sort(partition[:, :k], axis=1)
+    # Stable on index-sorted columns: (distance, index) order within the pick.
+    order = np.argsort(np.take_along_axis(matrix, picked, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(picked, order, axis=1)
+    # The pick is exact iff exactly k columns are <= the k-th distance; a NaN
+    # k-th distance counts zero, so it is redone too.
+    redo = np.count_nonzero(matrix <= kth, axis=1) != k
+    if redo.any():
+        top[redo] = np.argsort(matrix[redo], axis=1, kind="stable")[:, :k]
+    return top
 
 
 def normalize_matrix(matrix: np.ndarray, method: str = "mean") -> np.ndarray:

@@ -36,33 +36,16 @@ def euclidean_distance_matrix(queries: np.ndarray, database: np.ndarray | None =
     return np.sqrt(np.maximum(squared - 2.0 * gram, 0.0))
 
 
-def hit_rate(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
-             exclude_self: bool = True) -> float:
-    """HR@k: overlap between predicted and true top-k neighbour sets."""
-    predicted_knn = knn_from_matrix(predicted_matrix, k, exclude_self=exclude_self)
-    true_knn = knn_from_matrix(true_matrix, k, exclude_self=exclude_self)
+def _hit_rate(predicted_knn: np.ndarray, true_knn: np.ndarray) -> float:
+    k = predicted_knn.shape[1]
     hits = 0
     for predicted_row, true_row in zip(predicted_knn, true_knn):
         hits += len(set(predicted_row.tolist()) & set(true_row.tolist()))
     return hits / (len(predicted_knn) * k)
 
 
-def per_query_hit_rate(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
-                       exclude_self: bool = True) -> np.ndarray:
-    """HR@k of every individual query (used to stratify accuracy by violation degree)."""
-    predicted_knn = knn_from_matrix(predicted_matrix, k, exclude_self=exclude_self)
-    true_knn = knn_from_matrix(true_matrix, k, exclude_self=exclude_self)
-    rates = np.zeros(len(predicted_knn))
-    for index, (predicted_row, true_row) in enumerate(zip(predicted_knn, true_knn)):
-        rates[index] = len(set(predicted_row.tolist()) & set(true_row.tolist())) / k
-    return rates
-
-
-def ndcg(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
-         exclude_self: bool = True) -> float:
-    """NDCG@k with binary relevance (item relevant iff in the true top-k)."""
-    predicted_knn = knn_from_matrix(predicted_matrix, k, exclude_self=exclude_self)
-    true_knn = knn_from_matrix(true_matrix, k, exclude_self=exclude_self)
+def _ndcg(predicted_knn: np.ndarray, true_knn: np.ndarray) -> float:
+    k = predicted_knn.shape[1]
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
     ideal = discounts.sum()
     total = 0.0
@@ -73,6 +56,34 @@ def ndcg(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
     return total / len(predicted_knn)
 
 
+def _rank(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
+          exclude_self: bool) -> tuple[np.ndarray, np.ndarray]:
+    return (knn_from_matrix(predicted_matrix, k, exclude_self=exclude_self),
+            knn_from_matrix(true_matrix, k, exclude_self=exclude_self))
+
+
+def hit_rate(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
+             exclude_self: bool = True) -> float:
+    """HR@k: overlap between predicted and true top-k neighbour sets."""
+    return _hit_rate(*_rank(predicted_matrix, true_matrix, k, exclude_self))
+
+
+def per_query_hit_rate(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
+                       exclude_self: bool = True) -> np.ndarray:
+    """HR@k of every individual query (used to stratify accuracy by violation degree)."""
+    predicted_knn, true_knn = _rank(predicted_matrix, true_matrix, k, exclude_self)
+    rates = np.zeros(len(predicted_knn))
+    for index, (predicted_row, true_row) in enumerate(zip(predicted_knn, true_knn)):
+        rates[index] = len(set(predicted_row.tolist()) & set(true_row.tolist())) / k
+    return rates
+
+
+def ndcg(predicted_matrix: np.ndarray, true_matrix: np.ndarray, k: int,
+         exclude_self: bool = True) -> float:
+    """NDCG@k with binary relevance (item relevant iff in the true top-k)."""
+    return _ndcg(*_rank(predicted_matrix, true_matrix, k, exclude_self))
+
+
 def evaluate_retrieval(predicted_matrix: np.ndarray, true_matrix: np.ndarray,
                        hr_ks: tuple[int, ...] = (5, 10, 50),
                        ndcg_ks: tuple[int, ...] = (10, 50),
@@ -80,17 +91,26 @@ def evaluate_retrieval(predicted_matrix: np.ndarray, true_matrix: np.ndarray,
     """HR@k and NDCG@k for the requested cut-offs, as a flat metrics dict.
 
     Cut-offs larger than the database size are clamped (small synthetic databases).
+    Each matrix is ranked once, at the largest cut-off: neighbours come in a total
+    ``(distance, index)`` order, so every smaller top-k is a prefix of that ranking.
     """
     predicted_matrix = np.asarray(predicted_matrix, dtype=np.float64)
     true_matrix = np.asarray(true_matrix, dtype=np.float64)
     if predicted_matrix.shape != true_matrix.shape:
         raise ValueError("predicted and true matrices must have the same shape")
     database_size = predicted_matrix.shape[1] - (1 if exclude_self else 0)
+    effective = {k: min(k, database_size) for k in (*hr_ks, *ndcg_ks)}
+    if not effective:
+        return {}
+    if min(effective.values()) <= 0:
+        raise ValueError("k must be positive")
+    predicted_knn, true_knn = _rank(predicted_matrix, true_matrix,
+                                    max(effective.values()), exclude_self)
     metrics: dict[str, float] = {}
     for k in hr_ks:
-        effective = min(k, database_size)
-        metrics[f"hr@{k}"] = hit_rate(predicted_matrix, true_matrix, effective, exclude_self)
+        cut = effective[k]
+        metrics[f"hr@{k}"] = _hit_rate(predicted_knn[:, :cut], true_knn[:, :cut])
     for k in ndcg_ks:
-        effective = min(k, database_size)
-        metrics[f"ndcg@{k}"] = ndcg(predicted_matrix, true_matrix, effective, exclude_self)
+        cut = effective[k]
+        metrics[f"ndcg@{k}"] = _ndcg(predicted_knn[:, :cut], true_knn[:, :cut])
     return metrics

@@ -1,13 +1,21 @@
 """Table V — retrieval latency and memory overhead of the LH-plugin.
 
 The experiment pre-embeds databases of increasing size and measures the online
-top-k retrieval latency and database memory with and without the plugin.  Expected
-shape versus the paper: the plugin's extra latency shrinks (relatively) as the
-database grows — well under a percent at the largest size — and the memory overhead
-stays in the single-digit percent range.
+top-k retrieval latency and database memory with and without the plugin.
+
+Memory: the plugin stores two projection scalars and two ``factor_dim`` factor
+vectors per trajectory next to its embedding, so the memory increase is exactly
+``(2 + 2·factor_dim) / embedding_dim`` (7.8% at the defaults) at every size.
+
+Latency: both paths share the Gram matmul and the top-k selection
+(``knn_from_matrix``, a partition-based top-k whose cost is negligible next to the
+matmul).  What remains of the gap is the plugin's O(nm) element-wise work on top of
+the shared matmul — the Lorentz distances, the fusion weights α and the blend — so
+the relative increase does not vanish with database size at these scales; it is
+measured, not assumed (about +45% at 5k and 20k on a 2-core numpy box).
 
 Database sizes are scaled down (the paper uses 10k/100k/1m) so the benchmark runs in
-seconds; the relative overhead, which is the claim under test, is size-stable.
+seconds.
 """
 
 from __future__ import annotations

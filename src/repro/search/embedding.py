@@ -4,8 +4,8 @@ Once an encoder is trained, online retrieval works in embedding space: a query
 vector against a matrix of database vectors.  Two paths are provided:
 
 * :func:`embedding_topk` — exact brute force.  One Gram-matrix multiplication
-  (the same kernel ``eval.retrieval`` uses) followed by a stable top-k, so its
-  tie-breaking matches ``knn_from_matrix``.
+  (the same kernel ``eval.retrieval`` uses) followed by ``knn_from_matrix``'s
+  top-k, so neighbours come in the same ascending ``(distance, index)`` order.
 * :class:`IVFEmbeddingIndex` — an IVF-style coarse quantizer: a tiny Lloyd's
   k-means partitions the database into inverted lists, and a query only scans the
   ``nprobe`` lists whose centroids are nearest.  Approximate by construction;
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..distances import knn_from_matrix
 from ..eval.retrieval import euclidean_distance_matrix
 
 __all__ = ["embedding_topk", "IVFEmbeddingIndex", "recall_at_k"]
@@ -25,13 +26,8 @@ def embedding_topk(queries: np.ndarray, database: np.ndarray, k: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Exact top-k by brute-force matmul: ``(indices, distances)``, row per query."""
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    database = np.asarray(database, dtype=np.float64)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > len(database):
-        raise ValueError(f"k={k} exceeds the {len(database)} database vectors")
     matrix = euclidean_distance_matrix(queries, database)
-    order = np.argsort(matrix, axis=1, kind="stable")[:, :k]
+    order = knn_from_matrix(matrix, k)
     return order, np.take_along_axis(matrix, order, axis=1)
 
 
@@ -94,7 +90,7 @@ class IVFEmbeddingIndex:
             pool = np.sort(np.concatenate(candidates))
             pool_distances = euclidean_distance_matrix(queries[row:row + 1],
                                                        self.database[pool])[0]
-            top = np.argsort(pool_distances, kind="stable")[:k]
+            top = knn_from_matrix(pool_distances[None, :], k)[0]
             indices[row] = pool[top]
             distances[row] = pool_distances[top]
         return indices, distances

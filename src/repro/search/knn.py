@@ -20,7 +20,8 @@ never belong to the final top-k.
 The result is **identical** to ``knn_from_matrix`` on the full cross matrix,
 including tie-breaking: candidates are only abandoned when their bound is
 *strictly* above τ, and refined survivors are ordered by ``(distance, index)`` —
-the same deterministic order ``knn_from_matrix``'s stable argsort produces.
+the same ascending ``(distance, index)`` order ``knn_from_matrix`` returns (it
+computes that order by partition plus a tie fix-up).
 """
 
 from __future__ import annotations
@@ -88,9 +89,10 @@ class SearchStats:
       heterogeneous backends.
     * Result ordering (tie-break): neighbours are ordered by
       ``(distance, index)`` ascending — equal distances break toward the
-      smaller database index, matching ``knn_from_matrix``'s stable argsort
-      bit for bit.  The counts here (``num_refined`` vs ``num_pruned``) are
-      defined relative to that deterministic order.
+      smaller database index, matching ``knn_from_matrix``'s ascending
+      ``(distance, index)`` order bit for bit.  The counts here
+      (``num_refined`` vs ``num_pruned``) are defined relative to that
+      deterministic order.
     """
 
     num_database: int = 0

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..distances import knn_from_matrix
+
 __all__ = ["PairSampler", "sample_triplets"]
 
 
@@ -49,10 +51,11 @@ class PairSampler:
         self._nearest = self._precompute_nearest()
 
     def _precompute_nearest(self) -> np.ndarray:
-        masked = self.target_matrix.copy()
-        np.fill_diagonal(masked, np.inf)
-        order = np.argsort(masked, axis=1, kind="stable")
-        return order[:, :max(self.num_nearest, 1)]
+        # Tiny matrices hold fewer than num_nearest other trajectories: take them all.
+        k = min(max(self.num_nearest, 1), len(self.target_matrix) - 1)
+        if k <= 0:
+            return np.empty((len(self.target_matrix), 0), dtype=np.intp)
+        return knn_from_matrix(self.target_matrix, k, exclude_self=True)
 
     def epoch_pairs(self, shuffle: bool = True) -> np.ndarray:
         """One epoch worth of pairs: nearest + random others for every anchor.
