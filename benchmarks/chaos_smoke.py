@@ -13,9 +13,9 @@ that completes is bit-identical to the serial no-fault reference**:
   reference bitwise.
 * **C (hard down)** — ``worker_crash@call=1`` crashes every fresh worker's
   first chunk, so the pool is deterministically unusable; the retry budget
-  drains, the degradation ladder steps the strategy down with its one-time
-  ``RuntimeWarning``, the in-process fallback finishes the call, and the
-  answer is still bitwise-exact.
+  drains, the degradation ladder steps ``shared`` down to in-process
+  ``chunked`` with its one-time ``RuntimeWarning``, the in-process fallback
+  finishes the call, and the answer is still bitwise-exact.
 * **D (recovery)** — faults cleared; after ``probe_interval`` clean calls at
   the degraded rung the ladder probes back up to the requested strategy and
   ``resilience.recoveries`` ticks.
@@ -36,12 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data import generate_dataset
-from repro.engine import (
-    MatrixEngine,
-    live_arena_names,
-    reset_shared_pool,
-    shared_memory_available,
-)
+from repro.engine import MatrixEngine, live_arena_names, reset_shared_pool
 from repro.obs import get_registry
 from repro.resilience import (
     ResiliencePolicy,
@@ -85,7 +80,7 @@ def main() -> int:
     reference = MatrixEngine(strategy="serial", cache=None).pairwise(
         trajectories, "dtw")
 
-    requested = "shared" if shared_memory_available() else "process"
+    requested = "shared"
     # A generous budget: the flaky phase must never drain it (worker/chunk
     # scheduling varies across machines, so the exact failure count does
     # too), while the hard-down phase drains any finite budget by design.
@@ -183,8 +178,7 @@ def main() -> int:
               "phase D: no recovery was counted")
     finally:
         clear_fault_plan()
-        if requested == "shared":
-            reset_shared_pool(args.workers)
+        reset_shared_pool(args.workers)
 
     leaked = sorted(live_arena_names())
     check(not leaked, f"leaked shared-memory segments: {leaked}")

@@ -17,12 +17,12 @@ distance/kernel code to avoid serving matrices computed by the old code.)
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
 from repro.engine import MatrixCache, MatrixEngine, get_default_engine, set_default_engine
+from repro.engine.executor import _default_strategy
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -32,8 +32,7 @@ MATRIX_CACHE_DIR = Path(__file__).parent / ".matrix_cache"
 @pytest.fixture(scope="session")
 def cached_engine() -> MatrixEngine:
     """One engine (and one on-disk cache handle) shared by the whole session."""
-    strategy = os.environ.get("REPRO_ENGINE_STRATEGY", "chunked")
-    return MatrixEngine(strategy=strategy,
+    return MatrixEngine(strategy=_default_strategy(),
                         cache=MatrixCache(MATRIX_CACHE_DIR, max_entries=64))
 
 

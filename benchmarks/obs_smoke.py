@@ -5,10 +5,9 @@ full stack the way the acceptance criterion describes — a ``SearchService``
 answering queries through a shared-pool engine, followed by one
 ``SimilarityTrainer`` epoch — and checks the resulting telemetry:
 
-* the ``engine.dp_cells`` registry counter is bit-equal to the legacy
-  ``dp_cell_count()`` API *and* to the sum of the per-measure split, with the
-  cell work having been aggregated back from shared-pool workers as registry
-  deltas;
+* the ``engine.dp_cells`` registry counter is bit-equal to the sum of the
+  per-measure split, with the cell work having been aggregated back from
+  shared-pool workers as registry deltas;
 * engine span histograms (``engine.pairs{...}``), search phase histograms
   (``search.lower_bound`` / ``search.index_probe`` / ``search.refine``) and
   training epoch timings (``train.epoch_seconds``) all recorded;
@@ -30,7 +29,7 @@ from pathlib import Path
 
 from repro.data import generate_dataset
 from repro.distances import normalize_matrix, pairwise_distance_matrix
-from repro.engine import MatrixEngine, dp_cell_count, reset_dp_cell_count
+from repro.engine import MatrixEngine
 from repro.models import MeanPoolEncoder
 from repro.obs import (
     export_snapshot,
@@ -84,7 +83,6 @@ def main() -> int:
     set_obs_mode("on")
     set_jsonl_path(str(args.jsonl))
     get_registry().reset()
-    reset_dp_cell_count()
 
     dataset = generate_dataset("chengdu", size=args.size, seed=0)
     engine = MatrixEngine(strategy="shared", max_workers=args.workers,
@@ -107,13 +105,11 @@ def main() -> int:
         if not condition:
             failures.append(label)
 
-    # Worker-aggregated cell accounting: registry == legacy API == measure sum.
+    # Worker-aggregated cell accounting: registry total == measure sum.
     total = counters.get("engine.dp_cells", 0)
     per_measure = sum(value for name, value in counters.items()
                       if name.startswith("engine.dp_cells."))
     check(total > 0, "engine.dp_cells is zero — no kernel work recorded")
-    check(total == dp_cell_count(),
-          f"registry total {total} != dp_cell_count() {dp_cell_count()}")
     check(total == per_measure,
           f"per-measure cells {per_measure} do not sum to total {total}")
 

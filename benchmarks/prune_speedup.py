@@ -5,7 +5,7 @@ heap's τ, but every refined candidate used to pay for its entire DP table.
 This benchmark measures what the in-kernel cascade (bound → τ-sorted batch →
 in-kernel abandon) saves on top: it runs the same kNN workload with and
 without ``abandon=`` and compares the **DP cell-work** the kernels actually
-performed (via the engine's ``dp_cell_count`` counter — deterministic, so safe
+performed (via the ``engine.dp_cells`` registry counter — deterministic, so safe
 to gate on) plus wall-clock (informational).  Both runs are verified
 bit-identical to ``knn_from_matrix`` on the full cross matrix, ties included.
 
@@ -30,9 +30,9 @@ import numpy as np
 
 from repro.data import generate_dataset
 from repro.distances import knn_from_matrix
-from repro.engine import (MatrixEngine, backend_provenance, dp_cell_count,
-                          reset_dp_cell_count)
+from repro.engine import MatrixEngine, backend_provenance
 from repro.search import TrajectoryIndex, knn_search
+from repro.obs import get_registry
 from repro.obs import snapshot as obs_snapshot
 
 RESULTS_PATH = Path(__file__).parent / "results" / "prune_speedup.json"
@@ -47,8 +47,10 @@ def benchmark_measure(index: TrajectoryIndex, trajectories, measure: str,
     matrix = engine.cross(trajectories[:num_queries], trajectories, measure)
     expected = knn_from_matrix(matrix, k, exclude_self=True)
 
+    cells = get_registry().counter("engine.dp_cells")
+
     def run(abandon: bool) -> tuple[int, float, int, bool]:
-        reset_dp_cell_count()
+        before = cells.value
         start = time.perf_counter()
         exact = True
         abandoned = 0
@@ -61,7 +63,7 @@ def benchmark_measure(index: TrajectoryIndex, trajectories, measure: str,
                                       matrix[query][result.indices],
                                       rtol=0, atol=0))
             abandoned += result.stats.num_abandoned
-        return dp_cell_count(), time.perf_counter() - start, abandoned, exact
+        return cells.value - before, time.perf_counter() - start, abandoned, exact
 
     full_cells, full_seconds, _, full_exact = run(abandon=False)
     abandoning_cells, abandoning_seconds, abandoned, abandoning_exact = run(abandon=True)

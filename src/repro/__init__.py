@@ -9,7 +9,7 @@ learning.  This package implements the plugin and every substrate it needs:
 * :mod:`repro.distances` — DTW, SSPD, EDR, ERP, LCSS, Hausdorff, discrete Fréchet,
   TP and DITA trajectory distances;
 * :mod:`repro.engine` — the pluggable compute engine: vectorized wavefront kernels,
-  serial/chunked/process execution strategies and a content-addressed matrix cache;
+  serial/chunked/shared execution strategies and a content-addressed matrix cache;
 * :mod:`repro.data` — trajectory containers, synthetic city generators, grid /
   quadtree preprocessing;
 * :mod:`repro.violation` — triangle-inequality violation statistics (TVF, RV, ARVS);

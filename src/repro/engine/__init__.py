@@ -4,8 +4,8 @@ The engine layer sits between the distance measures and everything that consumes
 distance matrices (training, violation analysis, experiments).  It owns:
 
 * :class:`MatrixEngine` — selectable execution strategies (``serial`` reference
-  loop, ``chunked`` batched kernels, ``process`` pool, zero-copy ``shared``
-  pool) behind one API;
+  loop, ``chunked`` batched kernels, zero-copy ``shared`` pool) behind one
+  API;
 * vectorized wavefront kernels for the DP distances (:mod:`repro.engine.kernels`),
   registered alongside the reference implementations;
 * a packed shared-memory trajectory arena and persistent worker pool backing
@@ -35,9 +35,6 @@ from .kernels import (
     lcss_batch,
     frechet_batch,
     dita_batch,
-    dp_cell_count,
-    reset_dp_cell_count,
-    add_dp_cell_count,
 )
 from .backends import (
     BACKEND_ENV,
@@ -87,7 +84,6 @@ __all__ = [
     "MatrixCache", "cache_key", "fingerprint_trajectories",
     "available_batch_kernels", "get_batch_kernel",
     "dtw_batch", "erp_batch", "edr_batch", "lcss_batch", "frechet_batch", "dita_batch",
-    "dp_cell_count", "reset_dp_cell_count", "add_dp_cell_count",
     "BACKEND_ENV", "KernelBackend", "active_backend", "available_backends",
     "backend_available", "backend_provenance", "register_backend",
     "resolve_backend", "set_backend",

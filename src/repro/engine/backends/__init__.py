@@ -19,7 +19,7 @@ argument, then :func:`set_backend`'s process-wide override, then the
 ``REPRO_KERNEL_BACKEND`` environment variable, then ``auto``.  Third-party
 backends plug in through :func:`register_backend`.
 
-Worker processes of the ``process``/``shared`` strategies receive the parent's
+Worker processes of the ``shared`` strategy receive the parent's
 *resolved* backend name with each chunk and re-resolve it on attach
 (non-strict: a worker without numba falls back to numpy with a warning rather
 than poisoning the pool), calling :meth:`KernelBackend.warmup` once per worker

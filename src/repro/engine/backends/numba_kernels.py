@@ -33,9 +33,9 @@ distance provably exceeds τ, so τ-consumers (``knn_search``) get bit-identical
 results either way.
 
 **Cell accounting.**  Every jitted DP function returns ``(value, cells)``;
-the Python wrappers fold the per-pair cell counts into the process-local
-counter in :mod:`repro.engine.kernels`, so ``dp_cell_count()`` keeps working
-identically under both backends and all engine strategies.
+the Python wrappers fold the per-pair cell counts into the ``engine.dp_cells``
+registry counters through :mod:`repro.engine.kernels`, so cell accounting
+works identically under both backends and all engine strategies.
 
 **Import contract.**  This module imports *without* numba: ``njit`` degrades
 to a no-op decorator and the kernels run as (slow) pure Python.  That keeps

@@ -1,4 +1,4 @@
-"""Pluggable matrix-construction engine (serial / chunked / process strategies).
+"""Pluggable matrix-construction engine (serial / chunked / shared strategies).
 
 :class:`MatrixEngine` owns the two hot paths of every experiment: building pairwise
 and cross distance matrices, and computing triplet violation statistics.  Layers
@@ -12,14 +12,14 @@ configuration knob rather than a code path:
 * ``chunked`` — pairs are grouped into chunks and each chunk is dispatched to a
   batched wavefront kernel (:mod:`repro.engine.kernels`) when the measure has one,
   which amortises NumPy call overhead across the whole chunk.
-* ``process`` — chunks are distributed over a process pool; useful once datasets
-  outgrow a single core.  Measures must be picklable (registered names always are).
-* ``shared`` — the zero-copy variant of ``process``: a persistent worker pool
-  (started lazily, reused across calls, shut down via ``atexit`` or
+* ``shared`` — chunks are distributed over a persistent worker pool (started
+  lazily, reused across calls, shut down via ``atexit`` or
   :meth:`MatrixEngine.close`) fed through a packed
   :class:`~repro.engine.shared.TrajectoryArena` — every point array of the call
   published once through ``multiprocessing.shared_memory``, so each chunk ships
   only integer pair indices and threshold slices instead of pickled arrays.
+  Measures must be picklable (registered names always are).  Without
+  ``shared_memory`` the same pool receives pickled per-chunk arrays instead.
 
 Results are cached in an optional :class:`~repro.engine.cache.MatrixCache` keyed by
 the trajectory content fingerprint, the measure and its kwargs.
@@ -28,19 +28,17 @@ Two knobs bound resource use per chunk: ``chunk_size`` caps the pair count, and
 ``chunk_bytes`` (environment variable ``REPRO_ENGINE_CHUNK_BYTES``) caps the
 padded DP tensor footprint, so a handful of very long trajectories cannot blow
 up peak RSS just because they share a chunk.  ``max_workers`` (environment
-variable ``REPRO_ENGINE_MAX_WORKERS``) sizes the ``process``/``shared`` pools.
+variable ``REPRO_ENGINE_MAX_WORKERS``) sizes the ``shared`` pool.
 :meth:`MatrixEngine.pairs` additionally forwards per-pair ``thresholds`` into
 the τ-aware batch kernels — the refinement half of the search subsystem's
 bound → τ → in-kernel-abandon cascade.
 
-Both multi-process strategies return per-chunk ``(values, dp_cells,
-obs_delta)`` triples from their workers: the chunk's distances, the DP cells
-its kernels computed, and a serialized :mod:`repro.obs` registry delta
-covering *every* counter and histogram the chunk touched (the total and
-per-measure cell counters among them).  The parent folds the deltas — and
-only the deltas, so cells are never double-counted — after the whole
-dispatch resolves, which keeps :func:`repro.engine.dp_cell_count` and the
-telemetry snapshot equal under every strategy, including across a
+Pool workers return per-chunk ``(values, obs_delta)`` pairs: the chunk's
+distances and a serialized :mod:`repro.obs` registry delta covering *every*
+counter and histogram the chunk touched (the total and per-measure
+``engine.dp_cells`` counters among them).  The parent folds each delta
+exactly once after the whole dispatch resolves, which keeps the telemetry
+snapshot equal under every strategy, including across a
 ``BrokenProcessPool`` retry.
 
 Telemetry spans (on when ``REPRO_OBS`` says so) bracket each public call
@@ -54,13 +52,13 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
 import numpy as np
 
-from ..config import env_int
+from ..config import EnvError, env_int, env_raw
 from ..distances.base import get_distance, get_kernel
 from ..obs import registry as obs_registry
 from ..obs import spans as obs_spans
@@ -73,18 +71,15 @@ from ..resilience.errors import (
 )
 from ..resilience.breaker import DegradationLadder
 from ..resilience.policy import ResiliencePolicy
+from . import shared
 from .backends import resolve_backend
 from .cache import MatrixCache, cache_key, fingerprint_trajectories
-from .kernels import dp_cell_count, get_batch_kernel
+from .kernels import get_batch_kernel
 
 __all__ = ["MatrixEngine", "get_default_engine", "set_default_engine", "STRATEGIES",
            "DEFAULT_CHUNK_BYTES", "CanonicalArrays", "as_canonical_arrays"]
 
-STRATEGIES = ("serial", "chunked", "process", "shared")
-
-#: Strategies whose multi-chunk work leaves the process (and can therefore
-#: fail in ways the resilience layer retries / degrades).
-_POOL_STRATEGIES = ("process", "shared")
+STRATEGIES = ("serial", "chunked", "shared")
 
 #: Worker-side failures a retry round may fix.  Everything else raised by a
 #: chunk is a bug in the measure or the caller's data and propagates.
@@ -110,6 +105,15 @@ def _default_chunk_bytes() -> int | None:
 def _default_max_workers() -> int:
     """Pool size from ``REPRO_ENGINE_MAX_WORKERS`` (must be a positive integer)."""
     return env_int(_MAX_WORKERS_ENV, min(4, os.cpu_count() or 1), minimum=1)
+
+
+def _default_strategy() -> str:
+    """Strategy from ``REPRO_ENGINE_STRATEGY`` (one of :data:`STRATEGIES`)."""
+    strategy = env_raw(_STRATEGY_ENV) or "chunked"
+    if strategy not in STRATEGIES:
+        raise EnvError(f"{_STRATEGY_ENV} must be one of {STRATEGIES}, "
+                       f"got {strategy!r}")
+    return strategy
 
 
 class CanonicalArrays(list):
@@ -189,15 +193,16 @@ def _chunk_values(list_a: Sequence, list_b: Sequence, measure, measure_kwargs: d
 def _worker_chunk(list_a, list_b, measure, measure_kwargs, use_kernels,
                   thresholds=None, backend=None, obs_mode=None,
                   fault_spec=None):
-    """Top-level worker so the process strategy can pickle its tasks.
+    """Pool worker entrypoint, top-level so its tasks pickle.
 
-    Returns ``(values, dp_cells, obs_delta)``: the chunk's distances, the
-    number of DP cells its kernels computed, and a picklable
+    The ``shared`` strategy submits it directly when it ships pickled arrays
+    (no ``shared_memory``) and reaches it through
+    :func:`~repro.engine.shared.shared_worker_chunk` otherwise.  Returns
+    ``(values, obs_delta)``: the chunk's distances and a picklable
     ``Registry.delta_since`` dict covering every telemetry instrument the
-    chunk touched (including those same cells, split per measure, and any
-    span histograms when observability is on).  The parent merges the delta —
-    the ``dp_cells`` element is informational and must *not* be re-added, or
-    cells would double-count.
+    chunk touched (the DP cells its kernels computed, split per measure, and
+    any span histograms when observability is on), which the parent merges
+    exactly once.
 
     ``backend`` is the parent's *resolved backend name*; the worker re-resolves
     it on attach (non-strict: a worker without numba degrades to numpy with a
@@ -221,10 +226,9 @@ def _worker_chunk(list_a, list_b, measure, measure_kwargs, use_kernels,
             resolved.warmup()
     registry = obs_registry.get_registry()
     mark = registry.checkpoint()
-    before = dp_cell_count()
     values = _chunk_values(list_a, list_b, measure, measure_kwargs, use_kernels,
                            thresholds=thresholds, backend=resolved)
-    return values, dp_cell_count() - before, registry.delta_since(mark)
+    return values, registry.delta_since(mark)
 
 
 class MatrixEngine:
@@ -259,7 +263,7 @@ class MatrixEngine:
             resolve_backend(backend, strict=False)  # validate the name early
         self.cache = cache
         self.chunk_size = chunk_size
-        # ``max_workers`` sizes the process/shared pools.  None defers to
+        # ``max_workers`` sizes the shared pool.  None defers to
         # REPRO_ENGINE_MAX_WORKERS / min(4, cpu_count); an explicit value must
         # be positive (a silent fallback here once masked max_workers=0 bugs).
         if max_workers is None:
@@ -270,9 +274,9 @@ class MatrixEngine:
                 raise ValueError(f"max_workers must be a positive integer, "
                                  f"got {max_workers!r}")
         #: Dispatch accounting of the most recent multi-chunk run: strategy,
-        #: chunk count, per-task payload bytes (the arrays a ``process`` pool
-        #: pickles, or the index/threshold metadata ``shared`` ships) and the
-        #: bytes published once through the shared-memory arena.  The parallel
+        #: chunk count, per-task payload bytes (the index/threshold metadata
+        #: ``shared`` ships, plus any arrays it pickles) and the bytes
+        #: published once through the shared-memory arena.  The parallel
         #: micro-benchmark reads this to record bytes-shipped reductions.
         self.last_dispatch: dict | None = None
         # ``chunk_bytes`` caps the padded DP tensor footprint of one chunk (an
@@ -365,9 +369,9 @@ class MatrixEngine:
         ``thresholds`` — optional ``(len(list_a),)`` per-pair abandon thresholds
         (the kNN heap's τ) forwarded into the batched wavefront kernels, which
         stop a pair's DP sweep — reporting ``+inf`` — as soon as its running
-        lower bound strictly exceeds its threshold.  Chunked, process and
-        shared strategies slice the vector per chunk (slices ride along to
-        pool workers); the serial strategy threads one threshold per pair.  Measures
+        lower bound strictly exceeds its threshold.  The chunked and shared
+        strategies slice the vector per chunk (slices ride along to pool
+        workers); the serial strategy threads one threshold per pair.  Measures
         without a batch kernel (and ``use_kernels=False``) compute full
         distances, so thresholds are purely an optimisation: a finite result is
         always the exact distance.
@@ -481,10 +485,9 @@ class MatrixEngine:
         # one requested; every rung is bit-identical, so this is invisible in
         # the values (the one-time RuntimeWarning and resilience.* counters
         # are the record).
-        requested = self.strategy
-        breaker = self._breaker if requested in _POOL_STRATEGIES else None
-        effective = (breaker.effective_strategy(requested)
-                     if breaker is not None else requested)
+        breaker = self._breaker if self.strategy == "shared" else None
+        effective = (breaker.effective_strategy()
+                     if breaker is not None else self.strategy)
         if effective == "serial":
             return self._run_serial(arrays_a, arrays_b, rows, cols, measure,
                                     measure_kwargs, thresholds, backend)
@@ -510,21 +513,16 @@ class MatrixEngine:
             # a pool round-trip (let alone an arena) cannot pay for itself on one
             # chunk, and small ``pairs`` refinement batches hit this constantly.
             parts = [(positions, inline_chunk(positions)) for positions in plan]
-            if breaker is not None and effective != requested and len(plan) > 1:
+            if breaker is not None and effective != "shared" and len(plan) > 1:
                 # A degraded in-process call counts toward the probe streak:
                 # multi-chunk calls are the ones that would exercise the pool
                 # again after recovery.
                 breaker.record_success()
         else:
             try:
-                if effective == "shared":
-                    parts = self._run_shared(arrays_a, arrays_b, rows, cols,
-                                             plan, measure, measure_kwargs,
-                                             thresholds, backend, packed=arena)
-                else:
-                    parts = self._run_process(arrays_a, arrays_b, rows, cols,
-                                              plan, measure, measure_kwargs,
-                                              thresholds, backend)
+                parts = self._run_shared(arrays_a, arrays_b, rows, cols, plan,
+                                         measure, measure_kwargs, thresholds,
+                                         backend, packed=arena)
             except RetryBudgetExceededError as error:
                 # The budget drained.  Fold the deltas of the chunks that DID
                 # land (their work is real and must count exactly once),
@@ -535,7 +533,7 @@ class MatrixEngine:
                     registry.merge_delta(delta)
                 if breaker is None:
                     raise
-                breaker.record_failure(requested)
+                breaker.record_failure()
                 registry.counter("resilience.fallback_chunks").add(
                     len(error.pending))
                 parts = [(positions, values)
@@ -551,52 +549,6 @@ class MatrixEngine:
         for positions, part in parts:
             values[positions] = part
         return values
-
-    def _run_process(self, arrays_a, arrays_b, rows, cols, plan, measure,
-                     measure_kwargs, thresholds,
-                     backend=None) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-call pool, pickled per-chunk arrays (the pre-arena baseline)."""
-        backend_name = None if backend is None else backend.name
-        mode = obs_spans.obs_mode()
-        fault_spec = faults.current_spec()
-        chunks = [
-            (positions,
-             [arrays_a[rows[p]] for p in positions],
-             [arrays_b[cols[p]] for p in positions],
-             None if thresholds is None else thresholds[positions])
-            for positions in plan
-        ]
-        payload = sum(a.nbytes for _, list_a, _, _ in chunks for a in list_a)
-        payload += sum(b.nbytes for _, _, list_b, _ in chunks for b in list_b)
-        payload += sum(taus.nbytes for _, _, _, taus in chunks if taus is not None)
-        self.last_dispatch = {"strategy": "process", "num_chunks": len(chunks),
-                              "payload_bytes": int(payload), "arena_bytes": 0,
-                              "arena_reused": False,
-                              "kernel_backend": backend_name}
-        tasks = [(positions,
-                  (_worker_chunk, list_a, list_b, measure, measure_kwargs,
-                   self.use_kernels, taus, backend_name, mode, fault_spec))
-                 for positions, list_a, list_b, taus in chunks]
-        # The per-call pool is replaced (not just retried) on breakage; the
-        # last surviving pool is drained in the ``finally``.
-        state: dict = {"pool": None}
-
-        def get_pool():
-            if state["pool"] is None:
-                state["pool"] = ProcessPoolExecutor(max_workers=self.max_workers)
-            return state["pool"]
-
-        def reset_pool():
-            pool, state["pool"] = state["pool"], None
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-
-        try:
-            return self._dispatch_resilient(tasks, get_pool, reset_pool,
-                                            "process")
-        finally:
-            if state["pool"] is not None:
-                state["pool"].shutdown(wait=True, cancel_futures=True)
 
     def _run_shared(self, arrays_a, arrays_b, rows, cols, plan, measure,
                     measure_kwargs, thresholds, backend=None,
@@ -622,8 +574,6 @@ class MatrixEngine:
         fall back to pickled per-chunk dispatch, still over the persistent
         pool.
         """
-        from . import shared
-
         if not shared.shared_memory_available():
             shared.warn_shared_memory_unavailable()
             return self._dispatch_shared(plan, None, rows, cols, None, None,
@@ -685,8 +635,6 @@ class MatrixEngine:
                          measure_kwargs, thresholds, fallback_a=None,
                          fallback_b=None, backend=None, extras=None,
                          reused=False) -> list[tuple[np.ndarray, np.ndarray]]:
-        from . import shared
-
         backend_name = None if backend is None else backend.name
         mode = obs_spans.obs_mode()
         fault_spec = faults.current_spec()
@@ -720,15 +668,11 @@ class MatrixEngine:
                                               else arena.size),
                               "arena_reused": bool(reused),
                               "kernel_backend": backend_name}
-        return self._dispatch_resilient(
-            tasks,
-            lambda: shared.get_shared_pool(self.max_workers),
-            lambda: shared.reset_shared_pool(self.max_workers),
-            "shared")
+        return self._dispatch_resilient(tasks)
 
-    def _dispatch_resilient(self, tasks, get_pool, reset_pool,
-                            strategy: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Submit chunk tasks with deadline, retry-budget and exactly-once folds.
+    def _dispatch_resilient(self, tasks) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Submit chunk tasks to the shared pool with deadline, retry-budget
+        and exactly-once folds.
 
         ``tasks`` is a list of ``(positions, submit_args)``.  Each round
         submits only the chunks without a result yet, then waits for *every*
@@ -764,8 +708,8 @@ class MatrixEngine:
             futures: dict[int, object] = {}
             retry_error = None
             try:
-                pool = get_pool()
-                with span("engine.dispatch", strategy=strategy):
+                pool = shared.get_shared_pool(self.max_workers)
+                with span("engine.dispatch", strategy="shared"):
                     try:
                         for i in pending:
                             futures[i] = pool.submit(*tasks[i][1])
@@ -797,7 +741,7 @@ class MatrixEngine:
                 error = future.exception()
                 if error is None:
                     positions = tasks[i][0]
-                    values, _cells, delta = future.result()
+                    values, delta = future.result()
                     results[i] = (positions, values, delta)
                 elif isinstance(error, _RETRYABLE):
                     retry_error = retry_error or error
@@ -808,7 +752,7 @@ class MatrixEngine:
             if retry_error is None:
                 break
             if isinstance(retry_error, BrokenProcessPool):
-                reset_pool()
+                shared.reset_shared_pool(self.max_workers)
             attempt += 1
             registry.counter("resilience.retries").add(1)
             if attempt > policy.max_retries:
@@ -832,7 +776,7 @@ class MatrixEngine:
             if delay > 0:
                 time.sleep(delay)
         # Success: fold one delta per chunk, exactly once, after the whole
-        # dispatch resolved — ``dp_cells`` is informational and never re-added.
+        # dispatch resolved.
         if self.last_dispatch is not None:
             self.last_dispatch["retries"] = attempt
         parts = []
@@ -862,8 +806,6 @@ class MatrixEngine:
         down via ``atexit`` anyway, and the next ``shared`` call simply starts
         a fresh one.
         """
-        from . import shared
-
         shared.reset_shared_pool(self.max_workers)
 
 
@@ -887,13 +829,14 @@ def get_default_engine() -> MatrixEngine:
     """Process-wide engine used when callers do not pass one explicitly.
 
     The strategy can be pre-selected with the ``REPRO_ENGINE_STRATEGY`` environment
-    variable (``serial``, ``chunked``, ``process`` or ``shared``); it defaults to
-    ``chunked`` with an in-memory matrix cache.
+    variable (``serial``, ``chunked`` or ``shared``; any other value raises
+    :class:`~repro.config.EnvError`); it defaults to ``chunked`` with an
+    in-memory matrix cache.
     """
     global _default_engine
     if _default_engine is None:
-        strategy = os.environ.get(_STRATEGY_ENV, "chunked")
-        _default_engine = MatrixEngine(strategy=strategy, cache=MatrixCache(max_entries=32))
+        _default_engine = MatrixEngine(strategy=_default_strategy(),
+                                       cache=MatrixCache(max_entries=32))
     return _default_engine
 
 

@@ -7,7 +7,7 @@ diagonals ``d-1`` and ``d-2``, so a whole diagonal is one fancy-indexed NumPy up
 On top of that, the batch variants stack the cost matrices of many trajectory pairs
 into one ``(batch, n, m)`` tensor and sweep all pairs simultaneously, which amortises
 the per-operation NumPy overhead across the batch — this is what the engine's
-``chunked`` and ``process`` strategies use.
+``chunked`` and ``shared`` strategies use.
 
 Every kernel performs cell-for-cell the same arithmetic as its reference
 implementation, so results agree to floating-point round-off (the parity suite
@@ -35,17 +35,13 @@ candidate (``knn_search``) keep bit-identical results.  Survivors run through th
 same per-diagonal arithmetic as the unthresholded sweep, so their values are
 bit-identical too.  ``thresholds=None`` (or all ``+inf``) is a no-op.
 
-The module also keeps a process-local **DP cell-work counter**
-(:func:`dp_cell_count` / :func:`reset_dp_cell_count`): every kernel adds the
-number of DP cells it actually computed, which is how
-``benchmarks/prune_speedup.py`` measures the work early abandoning saves.  The
-counter is per process — chunks dispatched to a ``process``-strategy pool count
-in the workers, not the parent.  Since the telemetry layer landed the counter
-lives in the :mod:`repro.obs` registry: ``engine.dp_cells`` is the total,
-``engine.dp_cells.<measure>`` splits it per measure, and
-``engine.abandoned.<measure>`` counts pairs the τ-sweep abandoned.  The
-per-measure counters partition the total exactly, and the legacy
-:func:`dp_cell_count` API reads straight through to the registry.
+Every kernel also counts the DP cells it actually computed in the
+:mod:`repro.obs` registry, which is how ``benchmarks/prune_speedup.py``
+measures the work early abandoning saves: ``engine.dp_cells`` is the total,
+``engine.dp_cells.<measure>`` splits it per measure (the split partitions the
+total exactly), and ``engine.abandoned.<measure>`` counts pairs the τ-sweep
+abandoned.  Pool workers return their counts as registry deltas, which the
+parent merges.
 """
 
 from __future__ import annotations
@@ -74,9 +70,6 @@ __all__ = [
     "dita_batch",
     "get_batch_kernel",
     "available_batch_kernels",
-    "dp_cell_count",
-    "reset_dp_cell_count",
-    "add_dp_cell_count",
 ]
 
 _BATCH_KERNELS: dict[str, callable] = {}
@@ -115,22 +108,6 @@ def _measure_abandon_counter(measure: str):
     return obs_registry.counter(f"engine.abandoned.{measure}")
 
 
-def reset_dp_cell_count() -> None:
-    """Zero the process-local counters of DP cell work (total, per-measure, abandons)."""
-    registry = obs_registry.get_registry()
-    registry.reset("engine.dp_cells")
-    registry.reset("engine.abandoned")
-
-
-def dp_cell_count() -> int:
-    """DP cells computed by the kernels in this process since the last reset.
-
-    Reads the ``engine.dp_cells`` registry counter — the same number the
-    telemetry snapshot reports, kept as the stable benchmark-facing API.
-    """
-    return _CELLS_TOTAL.value
-
-
 def _count_cells(cells: int, measure: str | None = None) -> None:
     _CELLS_TOTAL.add(cells)
     if measure is not None:
@@ -141,20 +118,6 @@ def _count_abandoned(pairs: int, measure: str) -> None:
     """Record ``pairs`` τ-abandoned pairs for ``measure``."""
     if pairs:
         _measure_abandon_counter(measure).add(pairs)
-
-
-def add_dp_cell_count(cells: int) -> None:
-    """Fold externally computed DP cells into this process's *total* counter.
-
-    Compatibility shim from before worker telemetry deltas: the ``process``
-    and ``shared`` strategies now return full registry deltas (including the
-    per-measure split) which the parent merges via
-    ``Registry.merge_delta``, so the engine no longer calls this.  It remains
-    for external callers that account cell work measured elsewhere; such
-    cells land in the total only, not in any ``engine.dp_cells.<measure>``
-    counter.
-    """
-    _CELLS_TOTAL.add(cells)
 
 
 # --------------------------------------------------------------------- helpers

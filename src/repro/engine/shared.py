@@ -1,11 +1,10 @@
 """Zero-copy shared-memory backing for the engine's ``shared`` strategy.
 
-The ``process`` strategy pays twice for every chunk it dispatches: a fresh
-``ProcessPoolExecutor`` is spun up per ``pairwise``/``cross``/``pairs`` call,
-and the full point arrays of every pair are pickled to the workers — for a
-pairwise matrix each trajectory is shipped once per pair it participates in,
-an O(n) amplification of the actual data volume.  This module removes both
-costs:
+Naive process-pool dispatch pays twice for every chunk: a fresh
+``ProcessPoolExecutor`` per ``pairwise``/``cross``/``pairs`` call, and the
+full point arrays of every pair pickled to the workers — for a pairwise
+matrix each trajectory is shipped once per pair it participates in, an O(n)
+amplification of the actual data volume.  This module removes both costs:
 
 * :class:`TrajectoryArena` — all point arrays of one engine call flattened
   into a single contiguous float64 buffer published through
@@ -20,9 +19,9 @@ costs:
 * :func:`shared_worker_chunk` — the worker entrypoint: attach to the arena
   (cached per worker process, so a call's many chunks attach once),
   reconstruct read-only views, run the exact same batch-kernel path as the
-  other strategies, and return ``(values, dp_cells, obs_delta)`` so kernel
-  cell-work statistics and the rest of the telemetry registry aggregate
-  across processes.
+  other strategies, and return ``(values, obs_delta)`` so kernel cell-work
+  statistics and the rest of the telemetry registry aggregate across
+  processes.
 
 Lifecycle: for a per-call arena the parent packs, waits for every chunk
 future to settle, then closes *and unlinks* the segment in a ``finally``
@@ -281,12 +280,13 @@ def _attach_arena(name: str, min_slots: int = 0) -> list[np.ndarray]:
 def shared_worker_chunk(arena_name, idx_a, idx_b, measure, measure_kwargs,
                         use_kernels, thresholds=None, backend=None,
                         obs_mode=None, extra_arrays=None, fault_spec=None):
-    """Worker entrypoint: arena views → kernels → ``(values, dp_cells, obs_delta)``.
+    """Worker entrypoint: arena views → kernels → ``(values, obs_delta)``.
 
     ``idx_a``/``idx_b`` index trajectories inside the arena; after resolving
-    the views this delegates to the ``process`` strategy's worker, so the
-    arithmetic, the ``(values, dp_cells, obs_delta)`` telemetry contract and
-    the kernel backend resolution (``backend`` is the parent's resolved
+    the views this delegates to the pickled-array worker
+    (:func:`repro.engine.executor._worker_chunk`), so the arithmetic, the
+    ``(values, obs_delta)`` telemetry contract and the kernel backend
+    resolution (``backend`` is the parent's resolved
     backend name — the worker re-resolves non-strictly and warms up once per
     process) are shared with every other strategy and results are
     bit-identical.  ``obs_mode`` is the parent's observability mode at submit

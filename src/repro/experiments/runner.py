@@ -55,10 +55,10 @@ class ExperimentSettings:
     ndcg_ks: tuple[int, ...] = (10, 50)
     plugin: LHPluginConfig = field(default_factory=LHPluginConfig)
     #: Execution strategy for ground-truth matrix construction (``serial``,
-    #: ``chunked``, ``process`` or the zero-copy ``shared`` pool); None uses
-    #: the process-wide default engine (``chunked`` with an in-memory cache).
+    #: ``chunked`` or the zero-copy ``shared`` pool); None uses the
+    #: process-wide default engine (``chunked`` with an in-memory cache).
     engine_strategy: str | None = None
-    #: Worker-pool size for the ``process``/``shared`` strategies; None defers
+    #: Worker-pool size for the ``shared`` strategy; None defers
     #: to ``REPRO_ENGINE_MAX_WORKERS`` / the engine default.
     engine_max_workers: int | None = None
     #: Kernel backend for ground-truth matrix construction (``numpy``,

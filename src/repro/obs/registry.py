@@ -18,8 +18,8 @@ here under dotted ``layer.operation`` names.  Three instrument kinds:
   is elementwise integer addition — associative and commutative, which the
   worker-delta aggregation below relies on.
 
-**Worker aggregation.**  The ``process``/``shared`` engine strategies run
-kernels in pool workers whose registries the parent cannot see.  A worker
+**Worker aggregation.**  The ``shared`` engine strategy runs kernels in
+pool workers whose registries the parent cannot see.  A worker
 takes a :meth:`Registry.checkpoint` before a chunk, computes, and returns
 :meth:`Registry.delta_since` — a plain-dict, picklable delta of every counter
 increment and histogram bucket added by the chunk.  The parent folds deltas

@@ -15,8 +15,8 @@ reference, whatever crashed along the way.
   deltas fold exactly once) and exponential backoff with deterministic
   jitter.
 * :mod:`repro.resilience.breaker` — :class:`DegradationLadder`: after
-  repeated pool failures the engine steps shared → process → chunked →
-  serial with a one-time ``RuntimeWarning``, then probes its way back up
+  repeated pool failures the engine steps shared → chunked → serial with a
+  one-time ``RuntimeWarning``, then probes its way back up
   once calls run clean.
 
 Typed errors (:class:`DeadlineExceededError`, :class:`OverloadedError`,

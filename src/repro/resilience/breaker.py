@@ -3,9 +3,9 @@
 The engine's execution strategies already form a ladder of decreasing
 ambition and increasing self-sufficiency::
 
-    shared  →  process  →  chunked  →  serial
-    (persistent pool,      (per-call     (in-process      (in-process
-     shared memory)         pool)         batch kernels)   reference loop)
+    shared  →  chunked  →  serial
+    (persistent pool,     (in-process      (in-process
+     shared memory)        batch kernels)   reference loop)
 
 Every rung computes **bit-identical values** (pinned by the parity suite), so
 stepping down trades only throughput, never correctness — which is what makes
@@ -18,9 +18,9 @@ back up — the next call *is* the probe, and if the pool is still sick the
 failure path simply steps back down (``resilience.breaker_trips`` counts
 every threshold crossing).
 
-The ladder only ever engages for pool-bound work: single-chunk calls and the
-in-process strategies cannot trip it, and an engine whose policy sets
-``degrade=False`` never constructs one.
+The ladder only ever engages for pool-bound work: only a ``shared`` engine
+consults it, single-chunk calls cannot trip it, and an engine whose policy
+sets ``degrade=False`` never constructs one.
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ from ..obs import counter
 __all__ = ["LADDER", "DegradationLadder"]
 
 #: Rung order, most to least ambitious.
-LADDER = ("shared", "process", "chunked", "serial")
+LADDER = ("shared", "chunked", "serial")
 
 
 class DegradationLadder:
-    """Per-engine breaker state: current offset below the requested strategy."""
+    """Per-engine breaker state: current offset below the top rung."""
 
     def __init__(self, breaker_threshold: int = 1, probe_interval: int = 4):
         self.breaker_threshold = int(breaker_threshold)
         self.probe_interval = int(probe_interval)
-        #: How many rungs below the requested strategy the engine runs at.
+        #: How many rungs below ``shared`` the engine runs at.
         self.offset = 0
         self._consecutive_failures = 0
         self._success_streak = 0
@@ -56,40 +56,34 @@ class DegradationLadder:
     def degraded(self) -> bool:
         return self.offset > 0
 
-    def effective_strategy(self, requested: str) -> str:
-        """The rung the next call should run at, given the requested strategy."""
-        if self.offset == 0 or requested not in LADDER:
-            return requested
-        start = LADDER.index(requested)
-        return LADDER[min(start + self.offset, len(LADDER) - 1)]
+    def effective_strategy(self) -> str:
+        """The rung the next call should run at."""
+        return LADDER[self.offset]
 
-    def record_failure(self, requested: str) -> str:
+    def record_failure(self) -> None:
         """A dispatch at the current rung burned its retry budget.
 
-        Steps down when the failure streak crosses the threshold and returns
-        the (possibly new) effective strategy for the *rest of this call* —
-        the caller finishes the work in-process either way; the rung change
-        governs where the next call starts.
+        Steps down when the failure streak crosses the threshold.  The caller
+        finishes the work in-process either way; the rung change governs
+        where the next call starts.
         """
         self._success_streak = 0
         self._consecutive_failures += 1
         if self._consecutive_failures >= self.breaker_threshold:
             self._consecutive_failures = 0
             counter("resilience.breaker_trips").add(1)
-            start = LADDER.index(requested) if requested in LADDER else 0
-            if start + self.offset < len(LADDER) - 1:
+            if self.offset < len(LADDER) - 1:
                 self.offset += 1
                 counter("resilience.degradations").add(1)
-                effective = self.effective_strategy(requested)
                 if not self._warned:
                     self._warned = True
                     warnings.warn(
                         f"engine pool dispatch keeps failing; degrading "
-                        f"strategy {requested!r} -> {effective!r} (the ladder "
-                        f"probes back up after {self.probe_interval} clean "
-                        f"calls; results stay bit-identical)",
+                        f"strategy {LADDER[0]!r} -> "
+                        f"{self.effective_strategy()!r} (the ladder probes "
+                        f"back up after {self.probe_interval} clean calls; "
+                        f"results stay bit-identical)",
                         RuntimeWarning, stacklevel=4)
-        return self.effective_strategy(requested)
 
     def record_success(self) -> None:
         """A pool-eligible call completed without burning its retry budget.

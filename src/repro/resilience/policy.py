@@ -61,7 +61,7 @@ class ResiliencePolicy:
     #: Seed for the jitter hash — same seed, same sleeps, same chaos replay.
     seed: int = 0
     #: Whether the engine may step down the strategy ladder after repeated
-    #: pool failures (shared → process → chunked → serial).
+    #: pool failures (shared → chunked → serial).
     degrade: bool = True
     #: Consecutive failed dispatches at a rung before stepping down.  One
     #: failed dispatch already burned the whole retry budget, so 1 is right

@@ -29,11 +29,15 @@ from repro.engine import (
     CanonicalArrays,
     MatrixEngine,
     as_canonical_arrays,
-    dp_cell_count,
     get_batch_kernel,
 )
 from repro.engine.backends import numba_kernels
 from repro.distances.base import get_distance
+from repro.obs import get_registry
+
+
+def dp_cell_count() -> int:
+    return get_registry().counter("engine.dp_cells").value
 
 MEASURES = ("dtw", "erp", "edr", "lcss", "frechet", "dita", "hausdorff", "sspd", "tp")
 

@@ -7,6 +7,7 @@ import pytest
 
 import repro.engine.executor as executor_module
 from repro import distances as D
+from repro.config import EnvError
 from repro.engine import (
     MatrixCache,
     MatrixEngine,
@@ -51,6 +52,21 @@ class TestEngineConfiguration:
         set_default_engine(None)
         try:
             assert get_default_engine().strategy == "serial"
+        finally:
+            set_default_engine(None)
+
+    def test_removed_process_strategy_lists_the_options(self):
+        with pytest.raises(ValueError, match="options") as info:
+            MatrixEngine(strategy="process")
+        assert "shared" in str(info.value)
+
+    def test_bad_strategy_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(executor_module._STRATEGY_ENV, "process")
+        set_default_engine(None)
+        try:
+            with pytest.raises(EnvError, match="REPRO_ENGINE_STRATEGY") as info:
+                get_default_engine()
+            assert "shared" in str(info.value)
         finally:
             set_default_engine(None)
 
@@ -178,13 +194,6 @@ class TestEngineExecution:
         expected = MatrixEngine(strategy="serial", use_kernels=False).pairwise(
             trajectories, "hausdorff")
         np.testing.assert_allclose(matrix, expected)
-
-    def test_process_strategy_multiple_chunks(self, trajectories):
-        engine = MatrixEngine(strategy="process", chunk_size=4, max_workers=2)
-        expected = MatrixEngine(strategy="serial", use_kernels=False).pairwise(
-            trajectories, "dtw")
-        np.testing.assert_allclose(engine.pairwise(trajectories, "dtw"), expected,
-                                   atol=1e-9)
 
     def test_violation_statistics_delegates(self, trajectories):
         matrix = MatrixEngine().pairwise(trajectories, "dtw")

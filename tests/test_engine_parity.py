@@ -136,7 +136,7 @@ class TestEngineStrategyParity:
     @pytest.mark.parametrize("measure,kwargs", [
         ("dtw", {}), ("edr", {"epsilon": 0.3}), ("sspd", {}), ("hausdorff", {}),
     ])
-    @pytest.mark.parametrize("strategy", ["serial", "chunked", "process"])
+    @pytest.mark.parametrize("strategy", ["serial", "chunked"])
     def test_pairwise_matches_reference_loop(self, trajectories, measure, kwargs, strategy):
         reference = MatrixEngine(strategy="serial", use_kernels=False)
         engine = MatrixEngine(strategy=strategy, chunk_size=10)

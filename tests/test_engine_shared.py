@@ -22,15 +22,14 @@ from repro.engine import (
     MatrixEngine,
     TrajectoryArena,
     as_canonical_arrays,
-    dp_cell_count,
     get_shared_pool,
     live_arena_names,
-    reset_dp_cell_count,
     reset_shared_pool,
     shared_memory_available,
 )
 from repro.engine.executor import _point_arrays
 from repro.engine.shared import unpack_views
+from repro.obs import get_registry
 from repro.search import TrajectoryIndex, knn_search
 
 #: Every registered measure (kwargs included); spatio-temporal ones get a
@@ -74,6 +73,10 @@ def temporal():
 
 def serial_engine() -> MatrixEngine:
     return MatrixEngine(strategy="serial", cache=None)
+
+
+def dp_cells() -> int:
+    return get_registry().counter("engine.dp_cells").value
 
 
 def shared_engine(**overrides) -> MatrixEngine:
@@ -132,20 +135,15 @@ class TestSharedParity:
 
 class TestCellAggregation:
     def test_worker_cells_fold_into_parent_counter(self, spatial):
-        reset_dp_cell_count()
+        before = dp_cells()
         MatrixEngine(strategy="chunked", cache=None, chunk_size=4).pairwise(
             spatial, "dtw")
-        chunked_cells = dp_cell_count()
+        chunked_cells = dp_cells() - before
         assert chunked_cells > 0
 
-        reset_dp_cell_count()
+        before = dp_cells()
         shared_engine().pairwise(spatial, "dtw")
-        assert dp_cell_count() == chunked_cells
-
-        reset_dp_cell_count()
-        MatrixEngine(strategy="process", cache=None, chunk_size=4,
-                     max_workers=2).pairwise(spatial, "dtw")
-        assert dp_cell_count() == chunked_cells
+        assert dp_cells() - before == chunked_cells
 
     def test_dispatch_metadata_records_zero_copy_payload(self, spatial):
         engine = shared_engine()
@@ -153,11 +151,13 @@ class TestCellAggregation:
         dispatch = engine.last_dispatch
         assert dispatch["strategy"] == "shared" and dispatch["arena_bytes"] > 0
 
-        process = MatrixEngine(strategy="process", cache=None, chunk_size=4,
-                               max_workers=2)
-        process.pairwise(spatial, "dtw")
+        # Pickling each pair's arrays would ship every trajectory once per
+        # pair it appears in; the arena publishes it once.
+        n = len(spatial)
+        pickled = sum(spatial[i].nbytes + spatial[j].nbytes
+                      for i in range(n) for j in range(i + 1, n))
         shipped = dispatch["payload_bytes"] + dispatch["arena_bytes"]
-        assert process.last_dispatch["payload_bytes"] > shipped
+        assert pickled > shipped
 
 
 class TestArena:
@@ -204,19 +204,19 @@ class TestPoolLifecycle:
     def test_restart_after_killed_worker(self, spatial):
         engine = shared_engine()
         expected = serial_engine().pairwise(spatial, "dtw")
-        reset_dp_cell_count()
+        before = dp_cells()
         np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"), expected)
-        clean_cells = dp_cell_count()
+        clean_cells = dp_cells() - before
         pool = get_shared_pool(engine.max_workers)
         victim = next(iter(pool._processes))
         os.kill(victim, signal.SIGKILL)
         # The next dispatch hits BrokenProcessPool, resets the pool and retries.
-        reset_dp_cell_count()
+        before = dp_cells()
         np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"), expected)
         assert live_arena_names() == frozenset()
         # Chunks gathered before the breakage must not be double-counted: the
         # fold happens once, for the dispatch attempt that completed.
-        assert dp_cell_count() == clean_cells
+        assert dp_cells() - before == clean_cells
 
     def test_engine_close_releases_pool(self, spatial):
         engine = shared_engine()

@@ -19,14 +19,13 @@ import pytest
 
 from repro.data import generate_dataset
 from repro.distances import knn_from_matrix
-from repro.engine import (
-    MatrixEngine,
-    available_batch_kernels,
-    dp_cell_count,
-    get_batch_kernel,
-    reset_dp_cell_count,
-)
+from repro.engine import MatrixEngine, available_batch_kernels, get_batch_kernel
+from repro.obs import get_registry
 from repro.search import TrajectoryIndex, knn_search
+
+
+def dp_cells() -> int:
+    return get_registry().counter("engine.dp_cells").value
 
 #: Kernel kwargs exercised per measure (banded DTW runs the per-pair wavefront).
 KERNEL_KWARGS = {
@@ -108,18 +107,18 @@ def test_tight_thresholds_abandon_cheaper():
     list_a, list_b = _pair_lists()
     kernel = get_batch_kernel("dtw")
     base = kernel(list_a, list_b)
-    reset_dp_cell_count()
+    before = dp_cells()
     kernel(list_a, list_b)
-    full = dp_cell_count()
-    reset_dp_cell_count()
+    full = dp_cells() - before
+    before = dp_cells()
     abandoned = kernel(list_a, list_b, thresholds=base * 0.25)
-    partial = dp_cell_count()
+    partial = dp_cells() - before
     assert full > 0
     assert partial < full
     assert np.isinf(abandoned).any()
 
 
-@pytest.mark.parametrize("strategy", ["serial", "chunked", "process"])
+@pytest.mark.parametrize("strategy", ["serial", "chunked", "shared"])
 def test_engine_pairs_threads_thresholds_per_strategy(strategy):
     list_a, list_b = _pair_lists()
     spatial_a = [points[:, :2] for points in list_a]
@@ -232,14 +231,14 @@ def test_knn_abandoning_cuts_cell_work_on_clustered_data():
     arrays = dataset.point_arrays(spatial_only=True)
     engine = MatrixEngine(cache=None)
     index = TrajectoryIndex(arrays)
-    reset_dp_cell_count()
+    before = dp_cells()
     off = knn_search(index, arrays[0], 5, measure="dtw", engine=engine,
                      exclude=0, abandon=False, batch_size=4)
-    cells_off = dp_cell_count()
-    reset_dp_cell_count()
+    cells_off = dp_cells() - before
+    before = dp_cells()
     on = knn_search(index, arrays[0], 5, measure="dtw", engine=engine,
                     exclude=0, abandon=True, batch_size=4)
-    cells_on = dp_cell_count()
+    cells_on = dp_cells() - before
     np.testing.assert_array_equal(on.indices, off.indices)
     assert on.stats.num_abandoned > 0
     assert cells_on < cells_off

@@ -2,9 +2,8 @@
 
 Three contracts live here:
 
-* **No double-counting** — ``engine.dp_cells`` (and the legacy
-  ``dp_cell_count()`` view of it) grows by exactly the same amount per run
-  for every strategy × backend combination, including after a shared-pool
+* **No double-counting** — ``engine.dp_cells`` grows by exactly the same
+  amount per run for every strategy × backend combination, including after a shared-pool
   worker is killed and the pool restarts mid-dispatch.  Worker registries
   come back as deltas and are merged exactly once.
 * **Pinned stats schema** — ``SearchStats.as_dict()`` and
@@ -27,13 +26,7 @@ import repro.engine.backends as backends
 import repro.engine.backends.numba_kernels as numba_kernels
 from repro.data import generate_dataset
 from repro.distances import normalize_matrix, pairwise_distance_matrix
-from repro.engine import (
-    MatrixEngine,
-    dp_cell_count,
-    get_shared_pool,
-    reset_dp_cell_count,
-    reset_shared_pool,
-)
+from repro.engine import MatrixEngine, get_shared_pool, reset_shared_pool
 from repro.models import MeanPoolEncoder
 from repro.obs import get_registry
 from repro.obs.export import JSONL_ENV, set_jsonl_path
@@ -72,24 +65,27 @@ def numba_stub(monkeypatch):
 
 def _engine(strategy: str, **overrides) -> MatrixEngine:
     options = dict(strategy=strategy, cache=None, chunk_size=4)
-    if strategy in ("process", "shared"):
+    if strategy == "shared":
         options["max_workers"] = 2
     options.update(overrides)
     return MatrixEngine(**options)
 
 
+def _counters() -> dict:
+    return get_registry().snapshot()["counters"]
+
+
 def _cells_for_run(engine, trajectories, measure="dtw", runs=1):
-    reset_dp_cell_count()
+    before = _counters().get("engine.dp_cells", 0)
     for _ in range(runs):
         engine.pairwise(trajectories, measure)
-    return dp_cell_count()
+    return _counters()["engine.dp_cells"] - before
 
 
 class TestCellAccounting:
-    """`dp_cell_count` must never double-count, for any strategy × backend."""
+    """`engine.dp_cells` must never double-count, for any strategy × backend."""
 
-    @pytest.mark.parametrize("strategy",
-                             ["serial", "chunked", "process", "shared"])
+    @pytest.mark.parametrize("strategy", ["serial", "chunked", "shared"])
     def test_numpy_runs_are_additive(self, strategy, spatial):
         engine = _engine(strategy, backend="numpy")
         once = _cells_for_run(engine, spatial)
@@ -104,9 +100,8 @@ class TestCellAccounting:
         # runs unpadded per-pair kernels, so its exact count is lower.
         chunked = _cells_for_run(_engine("chunked", backend="numpy"), spatial)
         assert chunked > 0
-        for strategy in ("process", "shared"):
-            cells = _cells_for_run(_engine(strategy, backend="numpy"), spatial)
-            assert cells == chunked, f"{strategy} disagrees with chunked"
+        assert _cells_for_run(_engine("shared", backend="numpy"),
+                              spatial) == chunked
 
     @pytest.mark.parametrize("strategy", ["serial", "chunked"])
     def test_numba_backend_runs_are_additive(self, strategy, spatial,
@@ -117,21 +112,18 @@ class TestCellAccounting:
         assert once > 0
         assert twice == 2 * once
 
-    def test_registry_counter_is_the_legacy_counter(self, spatial):
-        reset_dp_cell_count()
-        _engine("chunked").pairwise(spatial, "dtw")
-        assert get_registry().counter("engine.dp_cells").value == dp_cell_count()
-
     def test_per_measure_counters_partition_the_total(self, spatial):
-        reset_dp_cell_count()
+        before = _counters()
         engine = _engine("shared")
         engine.pairwise(spatial, "dtw")
         engine.pairwise(spatial, "erp")
-        counters = get_registry().snapshot()["counters"]
-        total = counters["engine.dp_cells"]
-        per_measure = {name: value for name, value in counters.items()
+        delta = {name: value - before.get(name, 0)
+                 for name, value in _counters().items()
+                 if name.startswith("engine.dp_cells")}
+        total = delta["engine.dp_cells"]
+        per_measure = {name: value for name, value in delta.items()
                        if name.startswith("engine.dp_cells.") and value}
-        assert total == dp_cell_count() > 0
+        assert total > 0
         assert sum(per_measure.values()) == total
         assert per_measure["engine.dp_cells.dtw"] > 0
         assert per_measure["engine.dp_cells.erp"] > 0
@@ -146,10 +138,9 @@ class TestCellAccounting:
             os.kill(victim, signal.SIGKILL)
             # The next dispatch hits BrokenProcessPool, restarts the pool and
             # retries; deltas from the aborted attempt must not be merged.
+            dtw_before = _counters().get("engine.dp_cells.dtw", 0)
             assert _cells_for_run(engine, spatial) == clean_cells
-            counters = get_registry().snapshot()["counters"]
-            assert counters["engine.dp_cells"] == clean_cells
-            assert counters["engine.dp_cells.dtw"] == clean_cells
+            assert _counters()["engine.dp_cells.dtw"] - dtw_before == clean_cells
         finally:
             reset_shared_pool(engine.max_workers)
 

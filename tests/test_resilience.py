@@ -26,9 +26,7 @@ import repro.engine.shared as shared_module
 from repro.config import EnvError, env_flag, env_float, env_int
 from repro.engine import (
     MatrixEngine,
-    dp_cell_count,
     live_arena_names,
-    reset_dp_cell_count,
     reset_shared_pool,
     shared_memory_available,
 )
@@ -87,6 +85,13 @@ def serial_reference(spatial, measure="dtw", **kwargs):
 
 def counter_value(name: str) -> int:
     return get_registry().counter(name).value
+
+
+def use_transport(monkeypatch, transport: str) -> None:
+    """``pickled`` runs the shared pool as on platforms without shared memory."""
+    if transport == "pickled":
+        monkeypatch.setattr(shared_module, "_shared_memory", None)
+        monkeypatch.setattr(shared_module, "_FALLBACK_WARNED", True)
 
 
 # ---------------------------------------------------------------------- parsing
@@ -237,22 +242,22 @@ class TestResiliencePolicy:
 class TestDegradationLadder:
     def test_steps_down_then_probes_back_up(self):
         ladder = DegradationLadder(breaker_threshold=2, probe_interval=3)
-        assert ladder.effective_strategy("shared") == "shared"
-        ladder.record_failure("shared")  # streak 1 of 2: no step yet
+        assert ladder.effective_strategy() == "shared"
+        ladder.record_failure()  # streak 1 of 2: no step yet
         assert not ladder.degraded
         with pytest.warns(RuntimeWarning, match="degrading"):
-            ladder.record_failure("shared")
+            ladder.record_failure()
         assert ladder.degraded
-        assert ladder.effective_strategy("shared") == "process"
+        assert ladder.effective_strategy() == "chunked"
         # The warning is one-time per ladder.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ladder.record_failure("shared")
-            ladder.record_failure("shared")
-        assert ladder.effective_strategy("shared") == "chunked"
+            ladder.record_failure()
+            ladder.record_failure()
+        assert ladder.effective_strategy() == "serial"
         for _ in range(3):
             ladder.record_success()
-        assert ladder.effective_strategy("shared") == "process"
+        assert ladder.effective_strategy() == "chunked"
         for _ in range(3):
             ladder.record_success()
         assert not ladder.degraded
@@ -262,18 +267,18 @@ class TestDegradationLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for _ in range(10):
-                ladder.record_failure("process")
-        assert ladder.effective_strategy("process") == "serial"
-        assert ladder.offset == len(LADDER) - 1 - LADDER.index("process")
+                ladder.record_failure()
+        assert ladder.effective_strategy() == "serial"
+        assert ladder.offset == len(LADDER) - 1
 
     def test_reset(self):
         ladder = DegradationLadder(breaker_threshold=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ladder.record_failure("shared")
+            ladder.record_failure()
         ladder.reset()
         assert not ladder.degraded
-        assert ladder.effective_strategy("shared") == "shared"
+        assert ladder.effective_strategy() == "shared"
 
 
 # ---------------------------------------------------------- engine under faults
@@ -298,27 +303,29 @@ class TestEngineUnderFaults:
         assert live_arena_names() == frozenset()
         assert engine._breaker is not None and not engine._breaker.degraded
 
-    @pytest.mark.parametrize("strategy", ["shared", "process"])
-    def test_retried_chunks_never_double_count_cells(self, spatial, strategy):
+    @pytest.mark.parametrize("transport", ["shared", "pickled"])
+    def test_retried_chunks_never_double_count_cells(self, spatial, transport,
+                                                     monkeypatch):
         # The no-double-count matrix, extended to retried-chunk recovery:
         # whatever subset of chunks completed before each crash, total DP
         # cells equal a clean run because each chunk's delta folds exactly
         # once — harvested, retried or ladder-fallback alike.
+        use_transport(monkeypatch, transport)
         expected = serial_reference(spatial)
-        clean = MatrixEngine(strategy=strategy, cache=None, chunk_size=3,
+        clean = MatrixEngine(strategy="shared", cache=None, chunk_size=3,
                              max_workers=2)
-        reset_dp_cell_count()
+        before = counter_value("engine.dp_cells")
         np.testing.assert_array_equal(clean.pairwise(spatial, "dtw"), expected)
-        clean_cells = dp_cell_count()
-        engine = resilient_engine(strategy)
+        clean_cells = counter_value("engine.dp_cells") - before
+        engine = resilient_engine("shared")
         install_fault_plan("worker_crash@call=2")
-        reset_dp_cell_count()
+        before = counter_value("engine.dp_cells")
         with warnings.catch_warnings():
             # The ladder may legitimately degrade if the budget drains.
             warnings.simplefilter("ignore", RuntimeWarning)
             np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"),
                                           expected)
-        assert dp_cell_count() == clean_cells
+        assert counter_value("engine.dp_cells") - before == clean_cells
         assert live_arena_names() == frozenset()
 
     def test_hard_down_pool_degrades_with_one_warning_then_recovers(self, spatial):
@@ -334,30 +341,30 @@ class TestEngineUnderFaults:
             np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"),
                                           expected)
         assert engine._breaker.degraded
-        assert engine._breaker.effective_strategy("shared") == "process"
+        assert engine._breaker.effective_strategy() == "chunked"
         assert counter_value("resilience.breaker_trips") > trips
         assert counter_value("resilience.fallback_chunks") > fallback
         assert live_arena_names() == frozenset()
-        # Still sick: the degraded rung (process) also crashes its workers,
-        # stepping further down to in-process chunked, which cannot fault.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"),
-                                          expected)
-        assert engine._breaker.effective_strategy("shared") == "chunked"
-        # Fault cleared: clean calls at the degraded rung probe back up.
-        clear_fault_plan()
+        # Still sick, but the degraded rung (in-process chunked) cannot
+        # fault: its calls succeed and count toward the probe streak.
         recoveries = counter_value("resilience.recoveries")
-        for _ in range(2 * engine.policy.probe_interval + 1):
+        for _ in range(engine.policy.probe_interval):
             np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"),
                                           expected)
+        assert engine._breaker.effective_strategy() == "shared"
+        assert counter_value("resilience.recoveries") == recoveries + 1
+        # Fault cleared: the probe call runs on the pool and stays there.
+        clear_fault_plan()
+        np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"),
+                                      expected)
         assert not engine._breaker.degraded
-        assert counter_value("resilience.recoveries") >= recoveries + 2
         assert live_arena_names() == frozenset()
 
-    @pytest.mark.parametrize("strategy", ["shared", "process"])
-    def test_deadline_exceeded_raises_typed_error(self, spatial, strategy):
-        engine = resilient_engine(strategy, deadline=0.05)
+    @pytest.mark.parametrize("transport", ["shared", "pickled"])
+    def test_deadline_exceeded_raises_typed_error(self, spatial, transport,
+                                                  monkeypatch):
+        use_transport(monkeypatch, transport)
+        engine = resilient_engine("shared", deadline=0.05)
         install_fault_plan("slow_worker@p=1,delay=0.5")
         hits = counter_value("resilience.deadline_hits")
         with pytest.raises(DeadlineExceededError) as info:
@@ -368,8 +375,7 @@ class TestEngineUnderFaults:
         # A deadline is not pool sickness: the ladder must not have tripped.
         assert not engine._breaker.degraded
         clear_fault_plan()
-        if strategy == "shared":
-            reset_shared_pool(engine.max_workers)  # drain the sleepy workers
+        reset_shared_pool(engine.max_workers)  # drain the sleepy workers
 
     def test_budget_exceeded_without_ladder_raises_with_partials(self, spatial):
         engine = resilient_engine("shared", max_retries=1, degrade=False)
@@ -441,17 +447,16 @@ class TestEngineUnderFaults:
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(min_value=0, max_value=2 ** 16),
-           strategy=st.sampled_from(["shared", "process"]),
            crash_p=st.sampled_from([0.0, 0.1]),
            attach_p=st.sampled_from([0.0, 0.3]))
     def test_randomized_fault_schedules_stay_bit_identical(
-            self, spatial, seed, strategy, crash_p, attach_p):
+            self, spatial, seed, crash_p, attach_p):
         # Property form of the whole contract: any seeded mix of crashes,
-        # slowdowns and attach failures, under either pool strategy, either
-        # completes bit-identically or degrades and *then* completes
-        # bit-identically.  Never a wrong answer, never a leaked segment.
+        # slowdowns and attach failures either completes bit-identically or
+        # degrades and *then* completes bit-identically.  Never a wrong
+        # answer, never a leaked segment.
         expected = serial_reference(spatial)
-        engine = resilient_engine(strategy)
+        engine = resilient_engine("shared")
         spec = (f"seed={seed};worker_crash@p={crash_p};"
                 f"slow_worker@p=0.2,delay=0.002;shm_attach_fail@p={attach_p}")
         install_fault_plan(spec)

@@ -27,12 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import (
-    StreamingEngine,
-    dp_cell_count,
-    get_batch_kernel,
-    reset_dp_cell_count,
-)
+from repro.engine import StreamingEngine, get_batch_kernel
 from repro.engine.backends import NumbaBackend, NumpyBackend
 from repro.obs import snapshot
 
@@ -81,6 +76,10 @@ def _reference(measure: str, pattern: np.ndarray, window: np.ndarray,
 
 def _stream_cells() -> int:
     return snapshot()["counters"].get("stream.dp_cells", 0)
+
+
+def _engine_cells() -> int:
+    return snapshot()["counters"].get("engine.dp_cells", 0)
 
 
 class _Replay:
@@ -184,9 +183,9 @@ def test_extend_cells_never_exceed_recompute(config_id, measure, kwargs, dim,
         before = _stream_cells()
         replay.engine.value(replay.pair)
         stream_cells = _stream_cells() - before
-        reset_dp_cell_count()
+        before = _engine_cells()
         _reference(measure, replay.pattern, replay.window, kwargs)
-        recompute_cells = dp_cell_count()
+        recompute_cells = _engine_cells() - before
         assert stream_cells <= recompute_cells
         total_stream += stream_cells
         total_recompute += recompute_cells
