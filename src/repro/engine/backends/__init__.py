@@ -28,10 +28,10 @@ so JIT compilation never rides inside a timed chunk.
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Callable
 
+from ...config import EnvError, env_raw
 from ...distances.base import get_kernel
 from ..kernels import available_batch_kernels, get_batch_kernel
 
@@ -197,12 +197,25 @@ def backend_available(name: str) -> bool:
     return key in _FACTORIES and _instance(key).available()
 
 
+def _backend_options() -> tuple:
+    return (AUTO, *sorted(_FACTORIES))
+
+
 def _validate_name(name: str) -> str:
     key = str(name).lower()
     if key != AUTO and key not in _FACTORIES:
-        options = (AUTO, *sorted(_FACTORIES))
-        raise KeyError(f"unknown kernel backend '{name}'; options: {options}")
+        raise KeyError(f"unknown kernel backend '{name}'; "
+                       f"options: {_backend_options()}")
     return key
+
+
+def _env_backend() -> str | None:
+    """Backend name from ``REPRO_KERNEL_BACKEND`` (None when unset/blank)."""
+    name = env_raw(BACKEND_ENV)
+    if name is not None and name.lower() not in _backend_options():
+        raise EnvError(f"{BACKEND_ENV} must be one of {_backend_options()}, "
+                       f"got {name!r}")
+    return name
 
 
 def set_backend(name: str | None) -> None:
@@ -251,7 +264,7 @@ def resolve_backend(spec=None, strict: bool = True) -> KernelBackend:
     if isinstance(spec, KernelBackend):
         return spec
     name = spec if spec is not None else (
-        _ACTIVE or os.environ.get(BACKEND_ENV) or AUTO)
+        _ACTIVE or _env_backend() or AUTO)
     key = _validate_name(name)
     if key == AUTO:
         if backend_available("numba"):

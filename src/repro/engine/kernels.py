@@ -15,8 +15,14 @@ enforces 1e-9).  Kernels are registered in :mod:`repro.distances.base` next to t
 reference functions; pairwise kernels are thin wrappers over the batch-of-one case so
 the two paths cannot drift apart.
 
+Each recurrence exists once: a per-mode table set-up (:func:`_initial_table`) and a
+per-mode diagonal step (:data:`_STEPS`) shared by the plain and the τ-aware path of
+the one sweep, :func:`_sweep`.
+
 ``dtw`` additionally accepts a Sakoe–Chiba ``band`` radius: cells with
-``|i - j| > band`` are never opened.  The band is widened to ``|n - m|`` when the two
+``|i - j| > band`` get ``+inf`` cost, so their table cells stay ``+inf`` exactly as if
+they were never opened; they still run through the stacked sweep and count as
+computed DP cells.  The radius is widened per pair to ``|n - m|`` when the two
 sequences differ in length by more than the requested radius, so the result is always
 finite.
 
@@ -108,10 +114,9 @@ def _measure_abandon_counter(measure: str):
     return obs_registry.counter(f"engine.abandoned.{measure}")
 
 
-def _count_cells(cells: int, measure: str | None = None) -> None:
+def _count_cells(cells: int, measure: str) -> None:
     _CELLS_TOTAL.add(cells)
-    if measure is not None:
-        _measure_cell_counter(measure).add(cells)
+    _measure_cell_counter(measure).add(cells)
 
 
 def _count_abandoned(pairs: int, measure: str) -> None:
@@ -156,13 +161,6 @@ def _euclidean_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(squared, out=squared)
 
 
-def _anti_diagonals(n: int, m: int):
-    """Yield (i, j) index vectors covering each anti-diagonal of an (n+1, m+1) table."""
-    for d in range(2, n + m + 1):
-        i = np.arange(max(1, d - m), min(n, d - 1) + 1)
-        yield i, d - i
-
-
 @lru_cache(maxsize=512)
 def _diagonal_slices(n: int, m: int) -> tuple:
     """Constant-stride slices addressing each anti-diagonal of the flattened tables.
@@ -198,12 +196,6 @@ def _diagonal_slices(n: int, m: int) -> tuple:
 
 def _flatten(table: np.ndarray) -> np.ndarray:
     return table.reshape(table.shape[0], -1)
-
-
-def _gather(table: np.ndarray, batch: np.ndarray, rows: np.ndarray,
-            cols: np.ndarray) -> np.ndarray:
-    """Read one cell per batch entry from a (batch, n, m) table."""
-    return table[batch, rows, cols]
 
 
 def _spatial_batch(trajectories: Sequence) -> list[np.ndarray]:
@@ -253,7 +245,86 @@ def _as_thresholds(thresholds, batch: int) -> np.ndarray | None:
     return array
 
 
-# ------------------------------------------------- τ-aware abandoning sweep
+# ------------------------------------------------------------ the recurrences
+
+def _initial_table(mode: str, batch: int, n: int, m: int,
+                   gap_cost_a: np.ndarray | None,
+                   gap_cost_b: np.ndarray | None) -> np.ndarray:
+    """The ``(batch, n+1, m+1)`` DP table of ``mode`` with its borders filled in."""
+    if mode in ("dtw", "frechet"):
+        table = np.full((batch, n + 1, m + 1), np.inf)
+        table[:, 0, 0] = 0.0
+        return table
+    # LCSS uses a float table too: its counts are small integers, exactly
+    # representable, so ``1 − common/shorter`` is the same as over int64.
+    table = np.zeros((batch, n + 1, m + 1))
+    if mode == "erp":
+        table[:, 1:, 0] = np.cumsum(gap_cost_a, axis=1)
+        table[:, 0, 1:] = np.cumsum(gap_cost_b, axis=1)
+    elif mode == "edr":
+        table[:, :, 0] = np.arange(n + 1)
+        table[:, 0, :] = np.arange(m + 1)
+    return table
+
+
+# Diagonal steps: for each entry of ``diagonals`` (in order), fill the
+# ``current`` slice of the flattened table from its ``up`` / ``left`` /
+# ``diagonal`` predecessors and the ``cells`` slice of the flattened cost (or
+# match) tensor; ``gap_a`` / ``gap_b`` index ERP's gap costs.  The plain sweep
+# hands a step every diagonal at once, the τ-sweep one diagonal per call.
+
+def _dtw_step(flat, data, gap_cost_a, gap_cost_b, diagonals) -> None:
+    for current, up, left, diagonal, cells, gap_a, gap_b in diagonals:
+        best = np.minimum(flat[:, up], flat[:, left])
+        np.minimum(best, flat[:, diagonal], out=best)
+        best += data[:, cells]
+        flat[:, current] = best
+
+
+def _frechet_step(flat, data, gap_cost_a, gap_cost_b, diagonals) -> None:
+    for current, up, left, diagonal, cells, gap_a, gap_b in diagonals:
+        reachable = np.minimum(flat[:, up], flat[:, left])
+        np.minimum(reachable, flat[:, diagonal], out=reachable)
+        np.maximum(reachable, data[:, cells], out=reachable)
+        flat[:, current] = reachable
+
+
+def _erp_step(flat, data, gap_cost_a, gap_cost_b, diagonals) -> None:
+    for current, up, left, diagonal, cells, gap_a, gap_b in diagonals:
+        substitution = flat[:, diagonal] + data[:, cells]
+        delete_a = flat[:, up] + gap_cost_a[:, gap_a]
+        delete_b = flat[:, left] + gap_cost_b[:, gap_b]
+        np.minimum(delete_a, delete_b, out=delete_a)
+        np.minimum(substitution, delete_a, out=substitution)
+        flat[:, current] = substitution
+
+
+def _edr_step(flat, data, gap_cost_a, gap_cost_b, diagonals) -> None:
+    for current, up, left, diagonal, cells, gap_a, gap_b in diagonals:
+        substitution = flat[:, diagonal] + np.where(data[:, cells], 0.0, 1.0)
+        gap = np.minimum(flat[:, up], flat[:, left])
+        gap += 1.0
+        np.minimum(substitution, gap, out=substitution)
+        flat[:, current] = substitution
+
+
+def _lcss_step(flat, data, gap_cost_a, gap_cost_b, diagonals) -> None:
+    for current, up, left, diagonal, cells, gap_a, gap_b in diagonals:
+        flat[:, current] = np.where(data[:, cells], flat[:, diagonal] + 1,
+                                    np.maximum(flat[:, up], flat[:, left]))
+
+
+#: One diagonal step per sweep mode (DITA sweeps with ``"dtw"``).
+_STEPS = {
+    "dtw": _dtw_step,
+    "frechet": _frechet_step,
+    "erp": _erp_step,
+    "edr": _edr_step,
+    "lcss": _lcss_step,
+}
+
+
+# ---------------------------------------------------------------- the sweep
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
     """(B, n) → (B, n+1) with ``out[:, i] = values[:, i:].sum(axis=1)``."""
@@ -269,19 +340,27 @@ def _suffix_max(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_abandoning(mode: str, data: np.ndarray, lengths_a: np.ndarray,
-                      lengths_b: np.ndarray, thresholds: np.ndarray,
-                      gap_cost_a: np.ndarray | None = None,
-                      gap_cost_b: np.ndarray | None = None,
-                      measure: str | None = None) -> np.ndarray:
-    """Anti-diagonal sweep with per-pair early abandoning and batch compaction.
+def _sweep(mode: str, data: np.ndarray, lengths_a: np.ndarray,
+           lengths_b: np.ndarray, thresholds: np.ndarray | None,
+           gap_cost_a: np.ndarray | None = None,
+           gap_cost_b: np.ndarray | None = None,
+           measure: str | None = None) -> np.ndarray:
+    """Anti-diagonal sweep of a stacked batch, optionally with early abandoning.
 
     ``mode`` selects the recurrence: ``"dtw"`` (min-plus over a cost tensor,
     shared by DITA), ``"frechet"`` (min-max), ``"erp"`` (min-plus with gap
     borders), ``"edr"`` / ``"lcss"`` (edit / match counting over a boolean match
-    tensor).  ``data`` is the stacked ``(batch, n, m)`` cost (or match) tensor.
+    tensor).  ``data`` is the stacked ``(batch, n, m)`` cost (or match) tensor;
+    ``lengths_a`` / ``lengths_b`` are each pair's real lengths.
 
-    After sweeping diagonal ``d`` the final cell of every unfinished pair lies
+    With ``thresholds=None`` the sweep is plain: it counts ``batch·n·m`` cells,
+    runs the mode's step over every anti-diagonal and reads each pair's final
+    cell ``(n_p, m_p)`` (LCSS converts its common length to ``1 − common /
+    min(n_p, m_p)``).
+
+    Otherwise ``thresholds`` is the ``(batch,)`` abandon vector and the same
+    step runs under per-pair early abandoning with batch compaction.  After
+    sweeping diagonal ``d`` the final cell of every unfinished pair lies
     strictly beyond the cells with ``i + j ∈ {d−1, d}``, and every monotone DP
     path must visit one of those cells (steps advance ``i + j`` by 1 or 2), so
     they form a *cut*.  For the min-plus / min-max measures the accumulated
@@ -330,29 +409,22 @@ def _sweep_abandoning(mode: str, data: np.ndarray, lengths_a: np.ndarray,
     sweeps with ``mode="dtw"`` yet counts as ``"dita"``).
     """
     measure = measure or mode
+    step = _STEPS[mode]
     batch, n, m = data.shape
+    table = _initial_table(mode, batch, n, m, gap_cost_a, gap_cost_b)
+    flat = _flatten(table)
+    flat_data = _flatten(data)
+    if thresholds is None:
+        _count_cells(batch * n * m, measure)
+        step(flat, flat_data, gap_cost_a, gap_cost_b, _diagonal_slices(n, m))
+        values = table[np.arange(batch), lengths_a, lengths_b]
+        if mode == "lcss":
+            return 1.0 - values / np.minimum(lengths_a, lengths_b)
+        return values
+
     la = lengths_a.astype(np.int64)
     lb = lengths_b.astype(np.int64)
     tau = _abandon_cutoff(thresholds)
-    if mode in ("dtw", "frechet"):
-        table = np.full((batch, n + 1, m + 1), np.inf)
-        table[:, 0, 0] = 0.0
-    elif mode == "erp":
-        table = np.zeros((batch, n + 1, m + 1))
-        table[:, 1:, 0] = np.cumsum(gap_cost_a, axis=1)
-        table[:, 0, 1:] = np.cumsum(gap_cost_b, axis=1)
-    elif mode == "edr":
-        table = np.zeros((batch, n + 1, m + 1))
-        table[:, :, 0] = np.arange(n + 1)
-        table[:, 0, :] = np.arange(m + 1)
-    elif mode == "lcss":
-        # Float table: the counts are small integers, exactly representable, so
-        # the final 1 − common/shorter matches the int64 path bit for bit.
-        table = np.zeros((batch, n + 1, m + 1))
-    else:
-        raise ValueError(f"unknown sweep mode '{mode}'")
-    flat = _flatten(table)
-    flat_data = _flatten(data)
     out = np.full(batch, np.inf)
     positions = np.arange(batch)
     alive = np.ones(batch, dtype=bool)
@@ -428,42 +500,13 @@ def _sweep_abandoning(mode: str, data: np.ndarray, lengths_a: np.ndarray,
             np.minimum.reduce([(la - 1).astype(np.float64), lb.astype(np.float64),
                                row_rem[:, 1], col_rem[:, 0]]))
 
-    for d, (current, up, left, diagonal, cost_cells, gap_a, gap_b) in enumerate(
-            _diagonal_slices(n, m), start=2):
+    for d, slices in enumerate(_diagonal_slices(n, m), start=2):
         lo, hi = max(1, d - m), min(n, d - 1)
         i_vec = np.arange(lo, hi + 1)
         j_vec = d - i_vec
         _count_cells(flat.shape[0] * len(i_vec), measure)
-        if mode == "dtw":
-            best = np.minimum(flat[:, up], flat[:, left])
-            np.minimum(best, flat[:, diagonal], out=best)
-            best += flat_data[:, cost_cells]
-            flat[:, current] = best
-        elif mode == "frechet":
-            reachable = np.minimum(flat[:, up], flat[:, left])
-            np.minimum(reachable, flat[:, diagonal], out=reachable)
-            np.maximum(reachable, flat_data[:, cost_cells], out=reachable)
-            flat[:, current] = reachable
-        elif mode == "erp":
-            substitution = flat[:, diagonal] + flat_data[:, cost_cells]
-            delete_a = flat[:, up] + gap_cost_a[:, gap_a]
-            delete_b = flat[:, left] + gap_cost_b[:, gap_b]
-            np.minimum(delete_a, delete_b, out=delete_a)
-            np.minimum(substitution, delete_a, out=substitution)
-            flat[:, current] = substitution
-        elif mode == "edr":
-            substitution = flat[:, diagonal] + np.where(flat_data[:, cost_cells],
-                                                        0.0, 1.0)
-            gap = np.minimum(flat[:, up], flat[:, left])
-            gap += 1.0
-            np.minimum(substitution, gap, out=substitution)
-            flat[:, current] = substitution
-        else:  # lcss
-            flat[:, current] = np.where(
-                flat_data[:, cost_cells],
-                flat[:, diagonal] + 1,
-                np.maximum(flat[:, up], flat[:, left]),
-            )
+        step(flat, flat_data, gap_cost_a, gap_cost_b, (slices,))
+        current = slices[0]
 
         finishing = alive & (la + lb == d)
         if finishing.any():
@@ -566,84 +609,23 @@ def _sweep_abandoning(mode: str, data: np.ndarray, lengths_a: np.ndarray,
 
 # ------------------------------------------------------------------------- DTW
 
-def _dtw_single_banded(cost: np.ndarray, band: int,
-                       threshold: float = np.inf) -> float:
-    """Wavefront DTW restricted to the Sakoe–Chiba band ``|i - j| ≤ band``.
-
-    ``threshold`` enables τ-aware abandoning: after each diagonal, the minimum
-    over the last two diagonals' in-band cells lower-bounds the final value
-    (in-band cells cut every warping path), so the sweep stops — returning
-    ``+inf`` — as soon as that bound strictly exceeds the threshold.
-    """
-    n, m = cost.shape
-    band = max(int(band), abs(n - m))
-    table = np.full((n + 1, m + 1), np.inf)
-    table[0, 0] = 0.0
-    cutoff = _abandon_cutoff(threshold)
-    if np.isfinite(threshold):
-        # Remaining-work suffixes, as in the batch sweep: interior rows/columns
-        # each still pay their minimum cost, the forced final cell pays exactly.
-        tail = float(cost[n - 1, m - 1])
-        row_rem = np.full(n + 1, tail)
-        if n >= 2:
-            row_rem[:n - 1] += np.cumsum(cost.min(axis=1)[n - 2::-1])[::-1]
-        col_rem = np.full(m + 1, tail)
-        if m >= 2:
-            col_rem[:m - 1] += np.cumsum(cost.min(axis=0)[m - 2::-1])[::-1]
-    previous_stat = np.inf
-    for i, j in _anti_diagonals(n, m):
-        keep = np.abs(i - j) <= band
-        if not keep.any():
-            continue
-        i, j = i[keep], j[keep]
-        _count_cells(len(i), "dtw")
-        best = np.minimum(table[i - 1, j], np.minimum(table[i, j - 1], table[i - 1, j - 1]))
-        values = cost[i - 1, j - 1] + best
-        table[i, j] = values
-        if i[-1] == n and j[-1] == m:
-            break  # final cell reached: the value is exact, no bound applies
-        if np.isfinite(threshold):
-            stat = float((values + np.maximum(row_rem[i], col_rem[j])).min())
-            if min(stat, previous_stat) > cutoff:
-                _count_abandoned(1, "dtw")
-                return np.inf
-            previous_stat = stat
-    return float(table[n, m])
-
-
 @_register_batch("dtw")
 def dtw_batch(trajectories_a: Sequence, trajectories_b: Sequence,
               band: int | None = None, thresholds=None) -> np.ndarray:
     """DTW distances for a batch of trajectory pairs."""
     _check_batch(trajectories_a, trajectories_b)
     thresholds = _as_thresholds(thresholds, len(trajectories_a))
-    arrays_a = _spatial_batch(trajectories_a)
-    arrays_b = _spatial_batch(trajectories_b)
-    if band is not None:
-        # The band geometry depends on each pair's lengths, so banded DTW runs the
-        # per-pair wavefront instead of the stacked sweep.
-        taus = np.full(len(arrays_a), np.inf) if thresholds is None else thresholds
-        return np.array([
-            _dtw_single_banded(_euclidean_cost(a[None], b[None])[0], band,
-                               threshold=tau)
-            for a, b, tau in zip(arrays_a, arrays_b, taus)
-        ])
-    a, lengths_a = _pad_points(arrays_a)
-    b, lengths_b = _pad_points(arrays_b)
+    a, lengths_a = _pad_points(_spatial_batch(trajectories_a))
+    b, lengths_b = _pad_points(_spatial_batch(trajectories_b))
     cost = _euclidean_cost(a, b)
-    if thresholds is not None:
-        return _sweep_abandoning("dtw", cost, lengths_a, lengths_b, thresholds)
-    batch, n, m = cost.shape
-    _count_cells(batch * n * m, "dtw")
-    table = np.full((batch, n + 1, m + 1), np.inf)
-    table[:, 0, 0] = 0.0
-    flat, flat_cost = _flatten(table), _flatten(cost)
-    for current, up, left, diagonal, cost_cells, _, _ in _diagonal_slices(n, m):
-        best = np.minimum(flat[:, up], flat[:, left])
-        np.minimum(best, flat[:, diagonal], out=best)
-        best += flat_cost[:, cost_cells]
-        flat[:, current] = best
-    return _gather(table, np.arange(batch), lengths_a, lengths_b)
+    if band is not None:
+        # Sakoe–Chiba band, widened per pair to |n_p − m_p|: out-of-band cells
+        # cost +inf, so their table cells stay +inf as if never opened.
+        radius = np.maximum(int(band), np.abs(lengths_a - lengths_b))
+        offset = np.abs(np.arange(cost.shape[1])[:, None]
+                        - np.arange(cost.shape[2])[None, :])
+        cost[offset[None] > radius[:, None, None]] = np.inf
+    return _sweep("dtw", cost, lengths_a, lengths_b, thresholds)
 
 
 @register_kernel("dtw")
@@ -669,23 +651,8 @@ def erp_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     gap_cost_a = np.sqrt(((a - gap_point) ** 2).sum(axis=-1))
     gap_cost_b = np.sqrt(((b - gap_point) ** 2).sum(axis=-1))
     cost = _euclidean_cost(a, b)
-    if thresholds is not None:
-        return _sweep_abandoning("erp", cost, lengths_a, lengths_b, thresholds,
-                                 gap_cost_a=gap_cost_a, gap_cost_b=gap_cost_b)
-    batch, n, m = cost.shape
-    _count_cells(batch * n * m, "erp")
-    table = np.zeros((batch, n + 1, m + 1))
-    table[:, 1:, 0] = np.cumsum(gap_cost_a, axis=1)
-    table[:, 0, 1:] = np.cumsum(gap_cost_b, axis=1)
-    flat, flat_cost = _flatten(table), _flatten(cost)
-    for current, up, left, diagonal, cost_cells, gap_a, gap_b in _diagonal_slices(n, m):
-        substitution = flat[:, diagonal] + flat_cost[:, cost_cells]
-        delete_a = flat[:, up] + gap_cost_a[:, gap_a]
-        delete_b = flat[:, left] + gap_cost_b[:, gap_b]
-        np.minimum(delete_a, delete_b, out=delete_a)
-        np.minimum(substitution, delete_a, out=substitution)
-        flat[:, current] = substitution
-    return _gather(table, np.arange(batch), lengths_a, lengths_b)
+    return _sweep("erp", cost, lengths_a, lengths_b, thresholds,
+                  gap_cost_a=gap_cost_a, gap_cost_b=gap_cost_b)
 
 
 @register_kernel("erp")
@@ -724,21 +691,7 @@ def edr_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     a, lengths_a = _pad_points(_spatial_batch(trajectories_a))
     b, lengths_b = _pad_points(_spatial_batch(trajectories_b))
     match = _match_tensor(a, b, epsilon)
-    if thresholds is not None:
-        return _sweep_abandoning("edr", match, lengths_a, lengths_b, thresholds)
-    batch, n, m = match.shape
-    _count_cells(batch * n * m, "edr")
-    table = np.zeros((batch, n + 1, m + 1))
-    table[:, :, 0] = np.arange(n + 1)
-    table[:, 0, :] = np.arange(m + 1)
-    flat, flat_match = _flatten(table), _flatten(match)
-    for current, up, left, diagonal, cost_cells, _, _ in _diagonal_slices(n, m):
-        substitution = flat[:, diagonal] + np.where(flat_match[:, cost_cells], 0.0, 1.0)
-        gap = np.minimum(flat[:, up], flat[:, left])
-        gap += 1.0
-        np.minimum(substitution, gap, out=substitution)
-        flat[:, current] = substitution
-    return _gather(table, np.arange(batch), lengths_a, lengths_b)
+    return _sweep("edr", match, lengths_a, lengths_b, thresholds)
 
 
 @register_kernel("edr")
@@ -758,26 +711,10 @@ def lcss_batch(trajectories_a: Sequence, trajectories_b: Sequence,
         raise ValueError("epsilon must be positive")
     _check_batch(trajectories_a, trajectories_b)
     thresholds = _as_thresholds(thresholds, len(trajectories_a))
-    arrays_a = _spatial_batch(trajectories_a)
-    arrays_b = _spatial_batch(trajectories_b)
-    a, lengths_a = _pad_points(arrays_a)
-    b, lengths_b = _pad_points(arrays_b)
+    a, lengths_a = _pad_points(_spatial_batch(trajectories_a))
+    b, lengths_b = _pad_points(_spatial_batch(trajectories_b))
     match = _match_tensor(a, b, epsilon)
-    if thresholds is not None:
-        return _sweep_abandoning("lcss", match, lengths_a, lengths_b, thresholds)
-    batch, n, m = match.shape
-    _count_cells(batch * n * m, "lcss")
-    table = np.zeros((batch, n + 1, m + 1), dtype=np.int64)
-    flat, flat_match = _flatten(table), _flatten(match)
-    for current, up, left, diagonal, cost_cells, _, _ in _diagonal_slices(n, m):
-        flat[:, current] = np.where(
-            flat_match[:, cost_cells],
-            flat[:, diagonal] + 1,
-            np.maximum(flat[:, up], flat[:, left]),
-        )
-    common = _gather(table, np.arange(batch), lengths_a, lengths_b)
-    shorter = np.minimum(lengths_a, lengths_b)
-    return 1.0 - common / shorter
+    return _sweep("lcss", match, lengths_a, lengths_b, thresholds)
 
 
 @register_kernel("lcss")
@@ -805,19 +742,7 @@ def frechet_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     a, lengths_a = _pad_points(_spatial_batch(trajectories_a))
     b, lengths_b = _pad_points(_spatial_batch(trajectories_b))
     cost = _euclidean_cost(a, b)
-    if thresholds is not None:
-        return _sweep_abandoning("frechet", cost, lengths_a, lengths_b, thresholds)
-    batch, n, m = cost.shape
-    _count_cells(batch * n * m, "frechet")
-    table = np.full((batch, n + 1, m + 1), np.inf)
-    table[:, 0, 0] = 0.0
-    flat, flat_cost = _flatten(table), _flatten(cost)
-    for current, up, left, diagonal, cost_cells, _, _ in _diagonal_slices(n, m):
-        reachable = np.minimum(flat[:, up], flat[:, left])
-        np.minimum(reachable, flat[:, diagonal], out=reachable)
-        np.maximum(reachable, flat_cost[:, cost_cells], out=reachable)
-        flat[:, current] = reachable
-    return _gather(table, np.arange(batch), lengths_a, lengths_b)
+    return _sweep("frechet", cost, lengths_a, lengths_b, thresholds)
 
 
 @register_kernel("frechet")
@@ -847,22 +772,9 @@ def dita_batch(trajectories_a: Sequence, trajectories_b: Sequence,
         spatiotemporal_point_cost(a[index], b[index], lambda_spatial, time_scale)
         for index in range(batch)
     ])
-    if thresholds is not None:
-        # DITA shares DTW's min-plus recurrence over its blended cost tensor,
-        # but its telemetry counts under its own measure name.
-        return _sweep_abandoning("dtw", cost, lengths_a, lengths_b, thresholds,
-                                 measure="dita")
-    _, n, m = cost.shape
-    _count_cells(batch * n * m, "dita")
-    table = np.full((batch, n + 1, m + 1), np.inf)
-    table[:, 0, 0] = 0.0
-    flat, flat_cost = _flatten(table), _flatten(cost)
-    for current, up, left, diagonal, cost_cells, _, _ in _diagonal_slices(n, m):
-        best = np.minimum(flat[:, up], flat[:, left])
-        np.minimum(best, flat[:, diagonal], out=best)
-        best += flat_cost[:, cost_cells]
-        flat[:, current] = best
-    return _gather(table, np.arange(batch), lengths_a, lengths_b)
+    # DITA shares DTW's min-plus recurrence over its blended cost tensor, but
+    # its telemetry counts under its own measure name.
+    return _sweep("dtw", cost, lengths_a, lengths_b, thresholds, measure="dita")
 
 
 @register_kernel("dita")

@@ -22,12 +22,12 @@ without touching code, mirroring ``REPRO_ENGINE_STRATEGY``.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Callable
 
 import numpy as np
 
+from ..config import env_flag
 from ..core import LHPlugin
 from ..data import Normalizer, TrajectoryDataset
 from ..obs import histogram, obs_enabled
@@ -52,13 +52,10 @@ _LOSSES: dict[str, Callable] = {
     "weighted_rank": weighted_rank_loss,
 }
 
-_FALSE_VALUES = {"0", "false", "no", "off"}
-
 
 def default_train_batched() -> bool:
     """Process-wide default for batched training (env ``REPRO_TRAIN_BATCHED``)."""
-    value = os.environ.get("REPRO_TRAIN_BATCHED", "1")
-    return value.strip().lower() not in _FALSE_VALUES
+    return env_flag("REPRO_TRAIN_BATCHED", True)
 
 
 class SimilarityTrainer:

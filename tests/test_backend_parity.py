@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 import repro.engine.backends as backends
+from repro.config import EnvError
 from repro.engine import (
     CanonicalArrays,
     MatrixEngine,
@@ -250,6 +251,14 @@ def test_resolution_order(clean_registry, monkeypatch, numba_selectable):
     assert backends.resolve_backend("numpy").name == "numpy"
     backends.set_backend(None)
     assert backends.resolve_backend().name == "numpy"  # env again
+
+
+def test_bad_env_backend_names_the_variable(clean_registry, monkeypatch):
+    monkeypatch.setenv(backends.BACKEND_ENV, "bogus")
+    with pytest.raises(EnvError, match="REPRO_KERNEL_BACKEND.*numpy"):
+        backends.resolve_backend()
+    # an explicit name still wins over the environment
+    assert backends.resolve_backend("numpy").name == "numpy"
 
 
 def test_auto_falls_back_to_numpy_with_one_warning(clean_registry):

@@ -11,6 +11,7 @@ steps.
 import numpy as np
 import pytest
 
+from repro.config import EnvError
 from repro.core import LHPlugin, LHPluginConfig
 from repro.data import generate_dataset
 from repro.distances import normalize_matrix, pairwise_distance_matrix
@@ -24,7 +25,7 @@ from repro.nn import (
     pad_sequences,
     pad_token_sequences,
 )
-from repro.training import PairSampler, SimilarityTrainer
+from repro.training import PairSampler, SimilarityTrainer, default_train_batched
 
 TOLERANCE = 1e-9
 
@@ -290,6 +291,11 @@ class TestTrainingStepParity:
         monkeypatch.setenv("REPRO_TRAIN_BATCHED", "1")
         assert SimilarityTrainer(encoder).batched
         assert not SimilarityTrainer(encoder, batched=False).batched
+
+    def test_env_toggle_rejects_garbage(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRAIN_BATCHED", "garbage")
+        with pytest.raises(EnvError, match="REPRO_TRAIN_BATCHED"):
+            default_train_batched()
 
     def test_epoch_pairs_is_index_array(self, spatial_truth):
         sampler = PairSampler(spatial_truth, num_nearest=2, num_random=1, seed=0)

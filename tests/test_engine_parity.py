@@ -117,6 +117,26 @@ class TestBandedDTW:
         assert D.get_kernel("dtw")(a, b, band=band) == pytest.approx(
             D.dtw_distance(a, b, band=band), abs=TOLERANCE)
 
+    @pytest.mark.parametrize("band", [0, 2, 5])
+    def test_ragged_banded_batch_matches_reference(self, band):
+        """One stacked batch whose pairs widen the band by different amounts."""
+        rng = np.random.default_rng(6)
+        lengths = [(1, 1), (1, 9), (9, 1), (6, 6), (12, 5), (4, 15), (20, 20),
+                   (17, 8)]
+        list_a = [rng.random((n, 2)) for n, _ in lengths]
+        list_b = [rng.random((m, 2)) for _, m in lengths]
+        kernel = get_batch_kernel("dtw")
+        values = kernel(list_a, list_b, band=band)
+        oracle = np.array([D.dtw_distance(a, b, band=band)
+                           for a, b in zip(list_a, list_b)])
+        np.testing.assert_allclose(values, oracle, rtol=0, atol=TOLERANCE)
+        for scale in (0.5, 1.0):
+            taus = oracle * scale
+            bounded = kernel(list_a, list_b, band=band, thresholds=taus)
+            finite = np.isfinite(bounded)
+            np.testing.assert_array_equal(bounded[finite], values[finite])
+            assert np.all(oracle[~finite] > taus[~finite])
+
     def test_band_kwarg_works_without_kernels(self):
         rng = np.random.default_rng(5)
         trajectories = [rng.random((8, 2)) for _ in range(5)]

@@ -27,7 +27,7 @@ from repro.search import TrajectoryIndex, knn_search
 def dp_cells() -> int:
     return get_registry().counter("engine.dp_cells").value
 
-#: Kernel kwargs exercised per measure (banded DTW runs the per-pair wavefront).
+#: Kernel kwargs exercised per measure (banded DTW runs the same stacked sweep).
 KERNEL_KWARGS = {
     "dtw": [{}, {"band": 2}],
     "erp": [{}, {"gap": (0.3, 0.7)}],
