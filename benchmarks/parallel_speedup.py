@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.data import generate_dataset
-from repro.engine import MatrixEngine, backend_provenance, shared_memory_available
+from repro.engine import MatrixEngine, backend_provenance
 from repro.obs import snapshot as obs_snapshot
 
 RESULTS_PATH = Path(__file__).parent / "results" / "parallel_speedup.json"
@@ -144,7 +144,6 @@ def main() -> int:
         "workers": args.workers,
         "repeats": args.repeats,
         "usable_cores": cores,
-        "shared_memory_available": shared_memory_available(),
         "platform": platform.platform(),
         **provenance,
         "speedup_floor": SPEEDUP_FLOOR,

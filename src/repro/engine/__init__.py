@@ -62,7 +62,6 @@ from .shared import (
     get_shared_pool,
     live_arena_names,
     reset_shared_pool,
-    shared_memory_available,
     shutdown_shared_pools,
 )
 from .arena_cache import (
@@ -90,7 +89,7 @@ __all__ = [
     "STRATEGIES", "DEFAULT_CHUNK_BYTES", "MatrixEngine",
     "CanonicalArrays", "as_canonical_arrays",
     "get_default_engine", "set_default_engine",
-    "ArenaCapacityError", "TrajectoryArena", "shared_memory_available",
+    "ArenaCapacityError", "TrajectoryArena",
     "get_shared_pool", "reset_shared_pool", "shutdown_shared_pools",
     "live_arena_names",
     "ARENA_CACHE_ENV", "DEFAULT_ARENA_CACHE_BYTES", "ArenaCache", "CachedArena",

@@ -150,7 +150,7 @@ class ArenaCache:
 
     @property
     def enabled(self) -> bool:
-        return self.max_bytes > 0 and _shared.shared_memory_available()
+        return self.max_bytes > 0
 
     @property
     def total_bytes(self) -> int:

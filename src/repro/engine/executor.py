@@ -18,8 +18,7 @@ configuration knob rather than a code path:
   :class:`~repro.engine.shared.TrajectoryArena` — every point array of the call
   published once through ``multiprocessing.shared_memory``, so each chunk ships
   only integer pair indices and threshold slices instead of pickled arrays.
-  Measures must be picklable (registered names always are).  Without
-  ``shared_memory`` the same pool receives pickled per-chunk arrays instead.
+  Measures must be picklable (registered names always are).
 
 Results are cached in an optional :class:`~repro.engine.cache.MatrixCache` keyed by
 the trajectory content fingerprint, the measure and its kwargs.
@@ -54,6 +53,7 @@ import os
 import time
 from concurrent.futures import wait
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -190,45 +190,93 @@ def _chunk_values(list_a: Sequence, list_b: Sequence, measure, measure_kwargs: d
                     dtype=np.float64)
 
 
-def _worker_chunk(list_a, list_b, measure, measure_kwargs, use_kernels,
-                  thresholds=None, backend=None, obs_mode=None,
-                  fault_spec=None):
+@dataclass(frozen=True)
+class _DispatchContext:
+    """What every chunk of one ``shared`` dispatch has in common.
+
+    Built once per dispatch and shipped with each task
+    ``(_worker_chunk, context, idx_a, idx_b, taus)``.  ``backend`` is the
+    parent's *resolved backend name*; ``obs_mode`` and ``fault_spec`` are the
+    parent's observability mode and :func:`repro.resilience.current_spec`
+    token at submit time — persistent pool workers may have been forked
+    before the parent (or a test) switched either, so each chunk re-aligns
+    explicitly instead of trusting fork inheritance.  ``extras`` are the
+    arrays outside the arena, addressed by negative slots ``-1 - e``.
+    """
+
+    arena_name: str
+    measure: object
+    measure_kwargs: dict
+    use_kernels: bool
+    backend: str | None
+    obs_mode: int
+    fault_spec: tuple | None
+    extras: tuple
+
+
+def _worker_chunk(context: _DispatchContext, idx_a, idx_b, thresholds):
     """Pool worker entrypoint, top-level so its tasks pickle.
 
-    The ``shared`` strategy submits it directly when it ships pickled arrays
-    (no ``shared_memory``) and reaches it through
-    :func:`~repro.engine.shared.shared_worker_chunk` otherwise.  Returns
-    ``(values, obs_delta)``: the chunk's distances and a picklable
-    ``Registry.delta_since`` dict covering every telemetry instrument the
-    chunk touched (the DP cells its kernels computed, split per measure, and
-    any span histograms when observability is on), which the parent merges
-    exactly once.
-
-    ``backend`` is the parent's *resolved backend name*; the worker re-resolves
-    it on attach (non-strict: a worker without numba degrades to numpy with a
-    warning instead of poisoning the pool) and pays JIT warm-up once per
-    process, outside any timed chunk the caller measures.  ``obs_mode`` is the
-    parent's observability mode at submit time: persistent pool workers may
-    have been forked before the parent (or a test) switched modes, so each
-    chunk re-aligns explicitly instead of trusting fork inheritance.
-    ``fault_spec`` is the parent's :func:`repro.resilience.current_spec` token,
-    threaded the same way so injected fault schedules reach pool workers.
+    Aligns the fault plan, attaches the arena (the ``shm_attach_fail`` site),
+    passes the ``worker_crash`` and ``slow_worker`` sites, aligns the obs
+    mode, then re-resolves the backend (non-strict: a worker without numba
+    degrades to numpy with a warning instead of poisoning the pool) and pays
+    JIT warm-up once per process, outside any timed chunk the caller
+    measures.  Returns ``(values, obs_delta)``: the chunk's distances and a
+    picklable ``Registry.delta_since`` dict covering every telemetry
+    instrument the chunk touched (the DP cells its kernels computed, split
+    per measure, and any span histograms when observability is on), which
+    the parent merges exactly once.
     """
-    faults.ensure_plan(fault_spec)
+    faults.ensure_plan(context.fault_spec)
+    list_a, list_b = shared.attach_pairs(context.arena_name, idx_a, idx_b,
+                                         context.extras)
     faults.fault_point("worker_crash")
     faults.fault_point("slow_worker")
-    if obs_mode is not None and obs_mode != obs_spans.obs_mode():
-        obs_spans.set_obs_mode(obs_mode)
+    if context.obs_mode != obs_spans.obs_mode():
+        obs_spans.set_obs_mode(context.obs_mode)
     resolved = None
-    if backend is not None and use_kernels:
-        resolved = resolve_backend(backend, strict=False)
+    if context.backend is not None and context.use_kernels:
+        resolved = resolve_backend(context.backend, strict=False)
         if resolved.compiled:
             resolved.warmup()
     registry = obs_registry.get_registry()
     mark = registry.checkpoint()
-    values = _chunk_values(list_a, list_b, measure, measure_kwargs, use_kernels,
+    values = _chunk_values(list_a, list_b, context.measure,
+                           context.measure_kwargs, context.use_kernels,
                            thresholds=thresholds, backend=resolved)
     return values, registry.delta_since(mark)
+
+
+def _slot_tables(arrays_a, arrays_b, packed=None):
+    """Arena slot vectors for both sides, plus the arrays they ship as extras.
+
+    An array takes its slot in the pinned arena ``packed`` when it has one;
+    every other array is deduplicated by object identity into ``extras`` and
+    addressed by the negative slot ``-1 - e`` — so an array appearing many
+    times (the repeated query of a ``pairs`` refinement batch, or both sides
+    of a pairwise call) is shipped once.
+    """
+    extras: list = []
+    extra_slots: dict[int, int] = {}
+
+    def table(arrays) -> np.ndarray:
+        out = np.empty(len(arrays), dtype=np.int64)
+        for position, array in enumerate(arrays):
+            index = None if packed is None else packed.slot_of(array)
+            if index is None:
+                key = id(array)
+                extra = extra_slots.get(key)
+                if extra is None:
+                    extra = extra_slots[key] = len(extras)
+                    extras.append(array)
+                index = -1 - extra
+            out[position] = index
+        return out
+
+    slot_a = table(arrays_a)
+    slot_b = slot_a if arrays_b is arrays_a else table(arrays_b)
+    return slot_a, slot_b, extras
 
 
 class MatrixEngine:
@@ -275,7 +323,7 @@ class MatrixEngine:
                                  f"got {max_workers!r}")
         #: Dispatch accounting of the most recent multi-chunk run: strategy,
         #: chunk count, per-task payload bytes (the index/threshold metadata
-        #: ``shared`` ships, plus any arrays it pickles) and the bytes
+        #: ``shared`` ships, plus any extras riding along) and the bytes
         #: published once through the shared-memory arena.  The parallel
         #: micro-benchmark reads this to record bytes-shipped reductions.
         self.last_dispatch: dict | None = None
@@ -382,7 +430,7 @@ class MatrixEngine:
         ``shared`` strategy, multi-chunk dispatch resolves each array to its
         cached arena slot instead of packing a fresh per-call arena, and the
         few arrays outside the arena (typically just the query) ride along
-        pickled.  Other strategies ignore it.
+        in every task.  Other strategies ignore it.
         """
         with span("engine.pairs", measure=_measure_tag(measure),
                   strategy=self.strategy):
@@ -557,115 +605,60 @@ class MatrixEngine:
 
         With ``packed`` (a pinned :class:`~repro.engine.arena_cache.CachedArena`
         covering the database side) the dispatch reuses the cached segment:
-        slots resolve through the entry's identity map, arrays outside the
-        arena ship pickled as ``extras`` addressed by negative slot indices,
-        and nothing is packed or unlinked here — the cache owns the segment's
-        lifetime and the pin keeps it valid across every chunk and across a
-        ``BrokenProcessPool`` retry.
+        arrays outside it ride along as extras, and nothing is packed or
+        unlinked here — the cache owns the segment's lifetime and the pin
+        keeps it valid across every chunk and across a ``BrokenProcessPool``
+        retry.
 
-        Otherwise a per-call arena publishes every point array of this call
-        once; chunks ship only ``(arena name, pair-index vectors, threshold
-        slice)``, and the arena is closed *and unlinked* in a ``finally``
-        block after every future has settled, so worker exceptions cannot
-        leak shared memory.  A pool whose worker died (``BrokenProcessPool``)
-        is discarded and the *unfinished* chunks re-dispatched on a fresh pool
-        within the policy's retry budget — the arena stays valid across every
-        round.  When ``multiprocessing.shared_memory`` is missing entirely,
-        fall back to pickled per-chunk dispatch, still over the persistent
-        pool.
+        Otherwise a per-call arena publishes every distinct point array of
+        this call once; chunks ship only ``(context, pair-index vectors,
+        threshold slice)``, and the arena is closed *and unlinked* in a
+        ``finally`` block after every future has settled, so worker
+        exceptions cannot leak shared memory.  A pool whose worker died
+        (``BrokenProcessPool``) is discarded and the *unfinished* chunks
+        re-dispatched on a fresh pool within the policy's retry budget — the
+        arena stays valid across every round.
         """
-        if not shared.shared_memory_available():
-            shared.warn_shared_memory_unavailable()
-            return self._dispatch_shared(plan, None, rows, cols, None, None,
-                                         measure, measure_kwargs, thresholds,
-                                         fallback_a=arrays_a, fallback_b=arrays_b,
-                                         backend=backend)
         if packed is not None:
-            extras: list = []
-            extra_slots: dict[int, int] = {}
-
-            def cached_slot_table(arrays) -> np.ndarray:
-                table = np.empty(len(arrays), dtype=np.int64)
-                for position, array in enumerate(arrays):
-                    index = packed.slot_of(array)
-                    if index is None:
-                        key = id(array)
-                        extra = extra_slots.get(key)
-                        if extra is None:
-                            extra = extra_slots[key] = len(extras)
-                            extras.append(array)
-                        index = -1 - extra
-                    table[position] = index
-                return table
-
-            slot_a = cached_slot_table(arrays_a)
-            slot_b = slot_a if arrays_b is arrays_a else cached_slot_table(arrays_b)
+            slot_a, slot_b, extras = _slot_tables(arrays_a, arrays_b, packed)
             obs_registry.get_registry().counter("engine.arena.reused_dispatches").add(1)
             return self._dispatch_shared(plan, packed.arena, rows, cols,
                                          slot_a, slot_b, measure, measure_kwargs,
-                                         thresholds, backend=backend,
-                                         extras=extras, reused=True)
-        # Deduplicate by object identity so an array appearing many times (the
-        # repeated query of a ``pairs`` refinement batch, or both sides of a
-        # pairwise call) occupies a single arena slot.
-        arena_arrays: list = []
-        slots: dict[int, int] = {}
-
-        def slot_table(arrays) -> np.ndarray:
-            table = np.empty(len(arrays), dtype=np.int64)
-            for position, array in enumerate(arrays):
-                key = id(array)
-                index = slots.get(key)
-                if index is None:
-                    index = slots[key] = len(arena_arrays)
-                    arena_arrays.append(array)
-                table[position] = index
-            return table
-
+                                         thresholds, backend, extras, reused=True)
         with span("engine.pack", strategy="shared"):
-            slot_a = slot_table(arrays_a)
-            slot_b = slot_a if arrays_b is arrays_a else slot_table(arrays_b)
+            slot_a, slot_b, arena_arrays = _slot_tables(arrays_a, arrays_b)
             arena_cm = shared.TrajectoryArena(arena_arrays)
+        # With nothing pinned every array is an extra, packed in order:
+        # extra ``e`` is arena slot ``e``.
         with arena_cm as arena:
-            return self._dispatch_shared(plan, arena, rows, cols, slot_a, slot_b,
-                                         measure, measure_kwargs, thresholds,
-                                         backend=backend)
+            return self._dispatch_shared(plan, arena, rows, cols, -1 - slot_a,
+                                         -1 - slot_b, measure, measure_kwargs,
+                                         thresholds, backend, [], reused=False)
 
     def _dispatch_shared(self, plan, arena, rows, cols, slot_a, slot_b, measure,
-                         measure_kwargs, thresholds, fallback_a=None,
-                         fallback_b=None, backend=None, extras=None,
-                         reused=False) -> list[tuple[np.ndarray, np.ndarray]]:
+                         measure_kwargs, thresholds, backend, extras,
+                         reused) -> list[tuple[np.ndarray, np.ndarray]]:
         backend_name = None if backend is None else backend.name
-        mode = obs_spans.obs_mode()
-        fault_spec = faults.current_spec()
-        extra_list = extras if extras else None
-        extras_bytes = sum(a.nbytes for a in extras) if extras else 0
+        context = _DispatchContext(arena.name, measure, measure_kwargs,
+                                   self.use_kernels, backend_name,
+                                   obs_spans.obs_mode(), faults.current_spec(),
+                                   tuple(extras))
+        extras_bytes = sum(a.nbytes for a in extras)
         payload = 0
         tasks = []
         for positions in plan:
             taus = None if thresholds is None else thresholds[positions]
-            if arena is not None:
-                idx_a = slot_a[rows[positions]]
-                idx_b = slot_b[cols[positions]]
-                args = (shared.shared_worker_chunk, arena.name, idx_a, idx_b,
-                        measure, measure_kwargs, self.use_kernels, taus,
-                        backend_name, mode, extra_list, fault_spec)
-                payload += idx_a.nbytes + idx_b.nbytes + extras_bytes
-            else:
-                list_a = [fallback_a[rows[p]] for p in positions]
-                list_b = [fallback_b[cols[p]] for p in positions]
-                args = (_worker_chunk, list_a, list_b, measure, measure_kwargs,
-                        self.use_kernels, taus, backend_name, mode, fault_spec)
-                payload += sum(a.nbytes for a in list_a) + sum(b.nbytes for b in list_b)
+            idx_a = slot_a[rows[positions]]
+            idx_b = slot_b[cols[positions]]
+            payload += idx_a.nbytes + idx_b.nbytes + extras_bytes
             payload += 0 if taus is None else taus.nbytes
-            tasks.append((positions, args))
+            tasks.append((positions, (_worker_chunk, context, idx_a, idx_b, taus)))
         # ``arena_bytes`` counts bytes this call *published*: a reused cached
         # arena publishes nothing new, which is exactly the saving the serving
         # benchmark measures.
         self.last_dispatch = {"strategy": "shared", "num_chunks": len(tasks),
                               "payload_bytes": int(payload),
-                              "arena_bytes": (0 if arena is None or reused
-                                              else arena.size),
+                              "arena_bytes": 0 if reused else arena.size,
                               "arena_reused": bool(reused),
                               "kernel_backend": backend_name}
         return self._dispatch_resilient(tasks)

@@ -16,12 +16,9 @@ amplification of the actual data volume.  This module removes both costs:
   the first ``shared``-strategy call, reused across calls and engines with
   the same worker count, and shut down via ``atexit`` (or explicitly through
   :func:`shutdown_shared_pools` / ``MatrixEngine.close``);
-* :func:`shared_worker_chunk` — the worker entrypoint: attach to the arena
-  (cached per worker process, so a call's many chunks attach once),
-  reconstruct read-only views, run the exact same batch-kernel path as the
-  other strategies, and return ``(values, obs_delta)`` so kernel cell-work
-  statistics and the rest of the telemetry registry aggregate across
-  processes.
+* :func:`attach_pairs` — the worker-side attach: map the arena (cached per
+  worker process, so a call's many chunks attach once) and resolve a chunk's
+  slot vectors to read-only zero-copy views.
 
 Lifecycle: for a per-call arena the parent packs, waits for every chunk
 future to settle, then closes *and unlinks* the segment in a ``finally``
@@ -30,45 +27,35 @@ owned by the :mod:`~repro.engine.arena_cache` instead persist across calls
 (keyed by content fingerprint, with append slack for index deltas) and are
 unlinked on LRU eviction / ``clear()`` / atexit.  Workers keep a small LRU of
 attachments open, which is safe on POSIX: an unlinked segment stays mapped
-until the last attachment closes.  Platforms without
-``multiprocessing.shared_memory`` degrade gracefully: the engine detects
-:func:`shared_memory_available` and falls back to per-chunk pickling over
-the same persistent pool.
+until the last attachment closes.
+
+The task format — what a chunk ships and what the worker runs on it — is the
+engine's (:mod:`repro.engine.executor`); this module only owns the segment,
+the pool and the attach.
 """
 
 from __future__ import annotations
 
 import atexit
-import warnings
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import shared_memory as _shared_memory
 
 import numpy as np
 
 from ..resilience import faults
 
-try:  # pragma: no cover - import succeeds on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    _shared_memory = None
-
 __all__ = [
     "ArenaCapacityError",
     "TrajectoryArena",
-    "shared_memory_available",
+    "attach_pairs",
     "get_shared_pool",
     "reset_shared_pool",
     "shutdown_shared_pools",
     "live_arena_names",
-    "shared_worker_chunk",
 ]
 
 #: Arena header scalar type; offsets are in float64 *elements* into the payload.
 _HEADER_DTYPE = np.int64
-
-
-def shared_memory_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` exists on this platform."""
-    return _shared_memory is not None
 
 
 # ----------------------------------------------------------------- the arena
@@ -104,9 +91,6 @@ class TrajectoryArena:
     """
 
     def __init__(self, arrays, reserve_slots: int = 0, reserve_bytes: int = 0):
-        if _shared_memory is None:
-            raise RuntimeError("multiprocessing.shared_memory is unavailable "
-                               "on this platform")
         count = len(arrays)
         lengths = np.array([a.shape[0] for a in arrays], dtype=_HEADER_DTYPE)
         dims = np.array([a.shape[1] for a in arrays], dtype=_HEADER_DTYPE)
@@ -277,43 +261,22 @@ def _attach_arena(name: str, min_slots: int = 0) -> list[np.ndarray]:
     return views
 
 
-def shared_worker_chunk(arena_name, idx_a, idx_b, measure, measure_kwargs,
-                        use_kernels, thresholds=None, backend=None,
-                        obs_mode=None, extra_arrays=None, fault_spec=None):
-    """Worker entrypoint: arena views → kernels → ``(values, obs_delta)``.
+def attach_pairs(name: str, idx_a: np.ndarray, idx_b: np.ndarray,
+                 extras=()) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Both sides of a chunk as read-only views over arena ``name``.
 
-    ``idx_a``/``idx_b`` index trajectories inside the arena; after resolving
-    the views this delegates to the pickled-array worker
-    (:func:`repro.engine.executor._worker_chunk`), so the arithmetic, the
-    ``(values, obs_delta)`` telemetry contract and the kernel backend
-    resolution (``backend`` is the parent's resolved
-    backend name — the worker re-resolves non-strictly and warms up once per
-    process) are shared with every other strategy and results are
-    bit-identical.  ``obs_mode`` is the parent's observability mode at submit
-    time, forwarded so long-lived pool workers track parent mode switches.
-
-    ``extra_arrays`` carries the few arrays *not* packed in the arena (the
-    query of a refinement batch riding a cached database arena): a negative
-    slot index ``-1 - e`` resolves to ``extra_arrays[e]``.  ``fault_spec`` is
-    the parent's fault-plan token, aligned *before* the arena attach so the
-    ``shm_attach_fail`` injection site is live for this chunk.
+    ``idx_a``/``idx_b`` are arena slots; a negative slot ``-1 - e`` addresses
+    ``extras[e]``, the few arrays shipped alongside rather than packed (the
+    query of a refinement batch riding a cached database arena).  This is the
+    ``shm_attach_fail`` injection site, one per chunk.
     """
-    from .executor import _worker_chunk
-
-    faults.ensure_plan(fault_spec)
-    idx_a = np.asarray(idx_a, dtype=np.int64)
-    idx_b = np.asarray(idx_b, dtype=np.int64)
     min_slots = int(max(idx_a.max(initial=-1), idx_b.max(initial=-1))) + 1
-    arrays = _attach_arena(arena_name, min_slots)
+    arrays = _attach_arena(name, min_slots)
 
     def resolve(slot: int) -> np.ndarray:
-        return arrays[slot] if slot >= 0 else extra_arrays[-1 - slot]
+        return arrays[slot] if slot >= 0 else extras[-1 - slot]
 
-    return _worker_chunk([resolve(int(i)) for i in idx_a],
-                         [resolve(int(j)) for j in idx_b],
-                         measure, measure_kwargs, use_kernels,
-                         thresholds=thresholds, backend=backend,
-                         obs_mode=obs_mode, fault_spec=fault_spec)
+    return ([resolve(int(i)) for i in idx_a], [resolve(int(j)) for j in idx_b])
 
 
 # ------------------------------------------------------- the persistent pool
@@ -348,16 +311,3 @@ def shutdown_shared_pools() -> None:
         pool = _POOLS.pop(max_workers)
         pool.shutdown(wait=True, cancel_futures=True)
 
-
-_FALLBACK_WARNED = False
-
-
-def warn_shared_memory_unavailable() -> None:
-    """One warning per process when ``shared`` degrades to pickled dispatch."""
-    global _FALLBACK_WARNED
-    if not _FALLBACK_WARNED:
-        _FALLBACK_WARNED = True
-        warnings.warn("multiprocessing.shared_memory is unavailable; the "
-                      "'shared' strategy is falling back to pickled chunk "
-                      "dispatch over the persistent pool", RuntimeWarning,
-                      stacklevel=3)

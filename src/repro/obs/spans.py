@@ -23,18 +23,20 @@ Three modes, selected by the ``REPRO_OBS`` environment variable (or
   ``"span"``, with name, tags, duration and nesting depth) through
   :mod:`repro.obs.export`, for offline flame-style inspection.
 
+Any other ``REPRO_OBS`` spelling raises :class:`~repro.config.EnvError`.
+
 Nesting depth is tracked per-thread; spans on different threads never see
-each other's depth.  Mode is captured once per process at import (workers
-inherit it via the ``obs_mode`` argument threaded through the engine's pool
-dispatch, not via env re-reads).
+each other's depth.  Mode is captured once per process at import; pool
+workers take the parent's mode from each chunk's dispatch context, not from
+env re-reads.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
+from ..config import EnvError, env_raw
 from .registry import histogram
 
 __all__ = [
@@ -67,8 +69,15 @@ _MODE_ALIASES = {
 
 
 def _mode_from_env() -> int:
-    raw = os.environ.get(OBS_ENV, "").strip().lower()
-    return _MODE_ALIASES.get(raw, OBS_OFF)
+    raw = env_raw(OBS_ENV)
+    if raw is None:
+        return OBS_OFF
+    try:
+        return _MODE_ALIASES[raw.lower()]
+    except KeyError:
+        raise EnvError(f"{OBS_ENV} must be one of "
+                       f"{sorted(spelling for spelling in _MODE_ALIASES if spelling)}, "
+                       f"got {raw!r}") from None
 
 
 _mode = _mode_from_env()

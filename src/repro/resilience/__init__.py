@@ -20,9 +20,9 @@ reference, whatever crashed along the way.
   once calls run clean.
 
 Typed errors (:class:`DeadlineExceededError`, :class:`OverloadedError`,
-:class:`RetryBudgetExceededError`, :class:`TransientFaultError`) are the
-contract between this layer and the HTTP front end the roadmap plans: every
-handleable failure has a type, nothing is string-matched.
+:class:`RetryBudgetExceededError`, :class:`TransientFaultError`) are this
+layer's contract with its callers: every handleable failure has a type,
+nothing is string-matched.
 
 Telemetry: ``resilience.retries``, ``resilience.deadline_hits``,
 ``resilience.breaker_trips``, ``resilience.degradations``,

@@ -23,11 +23,14 @@ The bare rule ``seed=N`` sets the plan seed (default 0).
 Fault kinds and where their hooks live:
 
 =================== ==========================================================
-``worker_crash``    pool worker entrypoint (``engine.executor._worker_chunk``)
-                    — ``os._exit``, indistinguishable from a SIGKILL'd worker
-``slow_worker``     same entrypoint — sleeps ``delay`` seconds before working
-``shm_attach_fail`` worker arena attach (``engine.shared._attach_arena``) —
-                    raises :class:`~repro.resilience.TransientFaultError`
+``worker_crash``    pool worker entrypoint (``engine.executor._worker_chunk``),
+                    right after the arena attach — ``os._exit``,
+                    indistinguishable from a SIGKILL'd worker
+``slow_worker``     same entrypoint, after ``worker_crash`` — sleeps ``delay``
+                    seconds before working
+``shm_attach_fail`` worker arena attach (``engine.shared._attach_arena``), the
+                    entrypoint's first site — raises
+                    :class:`~repro.resilience.TransientFaultError`
 ``arena_append_fail`` ``TrajectoryArena.append`` — raises
                     :class:`~repro.engine.ArenaCapacityError` at entry, before
                     any mutation, exercising the cache's fresh-pack fallback
@@ -40,10 +43,10 @@ disabled obs span, pinned by the overhead guard in ``tests/test_resilience.py``.
 **Determinism across processes.**  ``call=`` counters and ``p=`` RNG streams
 are per-process: a forked pool worker inherits the parent's plan *state* at
 fork time and then advances its own copy, so a schedule is reproducible given
-the pool layout.  The engine additionally threads the active ``(spec, seed)``
-through every chunk dispatch (like ``obs_mode``), so workers forked before the
-plan was installed — or spawned fresh after a pool reset — align via
-:func:`ensure_plan` before touching any injection site.
+the pool layout.  The active ``(spec, seed)`` token additionally rides in
+every task's dispatch context (next to the obs mode), so workers forked
+before the plan was installed — or spawned fresh after a pool reset — align
+via :func:`ensure_plan` before touching any injection site.
 """
 
 from __future__ import annotations
@@ -306,9 +309,9 @@ def faults_active() -> bool:
 def current_spec() -> tuple[str, int] | None:
     """The installed plan as a picklable ``(spec, seed)`` token (None: no plan).
 
-    This is what the engine threads through pool dispatch so worker processes
-    align their plans with the parent's — the fault-injection counterpart of
-    the ``obs_mode`` argument.
+    This is what the engine ships in each pool task's dispatch context so
+    worker processes align their plans with the parent's, next to the obs
+    mode.
     """
     plan = _PLAN
     if plan is None:

@@ -78,9 +78,9 @@ class SearchStats:
     """Instrumentation of one (or, aggregated, many) filter-and-refine passes.
 
     This dataclass is a **pinned schema**: :meth:`as_dict` is the stable
-    contract the query service's ``stats()`` endpoint (and the future HTTP
-    ``/stats``) is built on, and ``tests/test_obs_integration.py`` asserts its
-    exact key set and types.  Two fields deserve spelling out:
+    contract the query service's ``stats()`` endpoint is built on, and
+    ``tests/test_obs_integration.py`` asserts its exact key set and types.
+    Two fields deserve spelling out:
 
     * ``kernel_backend`` — the backend name the refinement engine resolved for
       the pass (``"numpy"`` / ``"numba"``; ``""`` until a pass runs).

@@ -119,7 +119,9 @@ class StreamMonitor:
         trajectory id → number of points dropped from the window head (a
         window never empties — monitored trajectories keep ≥ 1 point).
         Returns the membership alerts this tick produced, in ``(distance,
-        id)`` order for entries followed by exits.
+        id)`` order for entries followed by exits.  The whole update is
+        validated before any of it applies: a rejected tick raises
+        ``ValueError`` and leaves every window and the index untouched.
 
         **Skip-and-catch-up:** a transient failure in the re-screen/refine
         phase (a :class:`~repro.resilience.ResilienceError` or a broken
@@ -130,14 +132,19 @@ class StreamMonitor:
         the next tick recomputes from the unchanged pending buffers and
         catches up.  Genuine bugs (any other exception) still propagate.
         """
-        appends = dict(appends or {})
+        appends = self._checked_appends(dict(appends or {}))
         evicts = dict(evicts or {})
+        for stream_id, count in evicts.items():
+            self._check_stream(stream_id)
+            window = (self.engine.window_length(stream_id)
+                      + len(appends.get(stream_id, ())))
+            if not 0 <= count < window:
+                raise ValueError(f"cannot evict {count} of the {window} points "
+                                 f"of monitored stream {stream_id}: a window "
+                                 f"keeps at least one point")
         for stream_id, points in appends.items():
             self.engine.append(stream_id, points, lazy=True)
         for stream_id, count in evicts.items():
-            if count >= self.engine.window_length(stream_id):
-                raise ValueError(f"evicting {count} points would empty "
-                                 f"monitored stream {stream_id}")
             self.engine.evict(stream_id, count)
         changed = sorted(set(appends) | set(evicts))
         if changed:
@@ -164,6 +171,26 @@ class StreamMonitor:
         alerts = self._diff(new_topk)
         self._topk = new_topk
         return alerts
+
+    def _check_stream(self, stream_id) -> None:
+        if stream_id not in range(len(self.index)):
+            raise ValueError(f"unknown monitored stream {stream_id!r}")
+
+    def _checked_appends(self, appends: dict) -> dict:
+        """``appends`` as ``(n, width)`` float64 arrays, each checked against
+        its stream, so :meth:`tick` applies nothing when any is malformed."""
+        checked = {}
+        for stream_id, points in appends.items():
+            self._check_stream(stream_id)
+            points = np.asarray(points, dtype=np.float64)
+            if points.ndim == 1:
+                points = points[None, :]
+            width = self.index.arrays[stream_id].shape[1]
+            if points.ndim != 2 or points.shape[1] != width:
+                raise ValueError(f"stream {stream_id} takes (n, {width}) points, "
+                                 f"got shape {points.shape}")
+            checked[stream_id] = points
+        return checked
 
     # ----------------------------------------------------------- filter/refine
     def _pair_for(self, stream_id: int):

@@ -43,9 +43,9 @@ does not have:
 Serving statistics live in a per-service :class:`repro.obs.Registry` (so two
 services never blur each other's traffic) and are mirrored into the
 process-wide registry under the same ``service.*`` names for unified
-snapshots.  :meth:`SearchService.stats` is the **pinned flat schema** the
-future HTTP ``/stats`` endpoint will serve — its exact key set and types are
-asserted by ``tests/test_obs_integration.py`` — while
+snapshots.  :meth:`SearchService.stats` is a **pinned flat schema** — its
+exact key set and types are asserted by ``tests/test_obs_integration.py`` —
+while
 :meth:`SearchService.snapshot` exposes the raw registry (counters plus full
 batch-fill / flush-latency histograms).
 """

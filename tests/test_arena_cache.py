@@ -23,16 +23,11 @@ from repro.engine import (
     get_shared_pool,
     live_arena_names,
     reset_shared_pool,
-    shared_memory_available,
 )
 from repro.engine.arena_cache import ArenaCache, get_arena_cache, reset_arena_cache
 from repro.engine.executor import CanonicalArrays
 from repro.engine.shared import unpack_views
 from repro.search import SearchService, TrajectoryIndex, knn_search
-
-pytestmark = pytest.mark.skipif(not shared_memory_available(),
-                                reason="multiprocessing.shared_memory unavailable")
-
 
 def make_arrays(count: int = 10, seed: int = 0, length: int = 12) -> CanonicalArrays:
     rng = np.random.default_rng(seed)

@@ -18,6 +18,7 @@ import repro.engine.shared as shared_module
 from repro.data import generate_dataset
 from repro.distances import knn_from_matrix
 from repro.engine import (
+    ArenaCache,
     CanonicalArrays,
     MatrixEngine,
     TrajectoryArena,
@@ -25,7 +26,6 @@ from repro.engine import (
     get_shared_pool,
     live_arena_names,
     reset_shared_pool,
-    shared_memory_available,
 )
 from repro.engine.executor import _point_arrays
 from repro.engine.shared import unpack_views
@@ -159,6 +159,33 @@ class TestCellAggregation:
         shipped = dispatch["payload_bytes"] + dispatch["arena_bytes"]
         assert pickled > shipped
 
+    def test_overlapping_cross_sides_share_arena_slots(self, spatial):
+        engine = shared_engine()
+        np.testing.assert_array_equal(
+            engine.cross(spatial[:4], spatial, "dtw"),
+            serial_engine().cross(spatial[:4], spatial, "dtw"))
+        # The four queries are database objects too: each is packed once.
+        with TrajectoryArena(spatial) as distinct:
+            assert engine.last_dispatch["arena_bytes"] == distinct.size
+
+    def test_query_outside_pinned_arena_ships_once_per_chunk(self, spatial):
+        cache = ArenaCache()
+        entry = cache.pin(spatial)
+        try:
+            query = np.random.default_rng(3).random((6, 2))
+            engine = shared_engine()
+            np.testing.assert_array_equal(
+                engine.pairs([query] * len(spatial), spatial, "dtw", arena=entry),
+                serial_engine().pairs([query] * len(spatial), spatial, "dtw"))
+            dispatch = engine.last_dispatch
+            index_bytes = 2 * 8 * len(spatial)  # one int64 slot per side and pair
+            assert dispatch["arena_reused"] and dispatch["arena_bytes"] == 0
+            assert dispatch["payload_bytes"] == (
+                index_bytes + dispatch["num_chunks"] * query.nbytes)
+        finally:
+            cache.unpin(entry)
+            cache.clear()
+
 
 class TestArena:
     def test_roundtrip_preserves_arrays_and_is_read_only(self, spatial, temporal):
@@ -227,26 +254,6 @@ class TestPoolLifecycle:
         # close() is not terminal: the next call lazily starts a fresh pool.
         np.testing.assert_array_equal(engine.pairwise(spatial, "dtw"),
                                       serial_engine().pairwise(spatial, "dtw"))
-
-
-class TestFallback:
-    def test_degrades_to_pickled_dispatch_without_shared_memory(self, spatial,
-                                                                monkeypatch):
-        monkeypatch.setattr(shared_module, "_shared_memory", None)
-        monkeypatch.setattr(shared_module, "_FALLBACK_WARNED", False)
-        assert not shared_memory_available()
-        engine = shared_engine()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            matrix = engine.pairwise(spatial, "dtw")
-        np.testing.assert_array_equal(matrix,
-                                      serial_engine().pairwise(spatial, "dtw"))
-        assert engine.last_dispatch["arena_bytes"] == 0
-        assert engine.last_dispatch["payload_bytes"] > 0
-
-    def test_arena_construction_requires_shared_memory(self, spatial, monkeypatch):
-        monkeypatch.setattr(shared_module, "_shared_memory", None)
-        with pytest.raises(RuntimeError, match="unavailable"):
-            TrajectoryArena(spatial[:2])
 
 
 class TestCanonicalArrays:

@@ -6,6 +6,7 @@ from contextlib import nullcontext
 
 import pytest
 
+from repro.config import EnvError
 from repro.obs import export as obs_export
 from repro.obs import spans as obs_spans
 from repro.obs.export import (
@@ -71,6 +72,13 @@ class TestModeSwitching:
         assert set_obs_mode(None) == OBS_TRACE
         monkeypatch.delenv(OBS_ENV)
         assert set_obs_mode(None) == OBS_OFF
+
+    def test_unknown_environment_spelling_raises(self, monkeypatch):
+        set_obs_mode("on")
+        monkeypatch.setenv(OBS_ENV, "tracee")
+        with pytest.raises(EnvError, match=f"{OBS_ENV}.*'trace'.*'tracee'"):
+            set_obs_mode(None)
+        assert obs_mode() == OBS_ON  # a rejected spelling changes nothing
 
     def test_mode_name_and_enabled(self):
         set_obs_mode("off")

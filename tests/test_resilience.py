@@ -28,7 +28,6 @@ from repro.engine import (
     MatrixEngine,
     live_arena_names,
     reset_shared_pool,
-    shared_memory_available,
 )
 from repro.engine.arena_cache import reset_arena_cache
 from repro.obs.registry import get_registry
@@ -53,10 +52,6 @@ from repro.resilience import (
 from repro.resilience import faults as faults_module
 from repro.search import SearchService, StreamMonitor
 from repro.search.service import MAX_PENDING_ENV
-
-needs_shm = pytest.mark.skipif(not shared_memory_available(),
-                               reason="multiprocessing.shared_memory unavailable")
-
 
 @pytest.fixture(autouse=True)
 def _fault_free():
@@ -85,13 +80,6 @@ def serial_reference(spatial, measure="dtw", **kwargs):
 
 def counter_value(name: str) -> int:
     return get_registry().counter(name).value
-
-
-def use_transport(monkeypatch, transport: str) -> None:
-    """``pickled`` runs the shared pool as on platforms without shared memory."""
-    if transport == "pickled":
-        monkeypatch.setattr(shared_module, "_shared_memory", None)
-        monkeypatch.setattr(shared_module, "_FALLBACK_WARNED", True)
 
 
 # ---------------------------------------------------------------------- parsing
@@ -290,7 +278,6 @@ def resilient_engine(strategy: str, **policy_overrides) -> MatrixEngine:
                         max_workers=2, policy=ResiliencePolicy(**defaults))
 
 
-@needs_shm
 class TestEngineUnderFaults:
     def test_transient_attach_fault_is_retried_bit_identically(self, spatial):
         expected = serial_reference(spatial)
@@ -303,14 +290,11 @@ class TestEngineUnderFaults:
         assert live_arena_names() == frozenset()
         assert engine._breaker is not None and not engine._breaker.degraded
 
-    @pytest.mark.parametrize("transport", ["shared", "pickled"])
-    def test_retried_chunks_never_double_count_cells(self, spatial, transport,
-                                                     monkeypatch):
+    def test_retried_chunks_never_double_count_cells(self, spatial):
         # The no-double-count matrix, extended to retried-chunk recovery:
         # whatever subset of chunks completed before each crash, total DP
         # cells equal a clean run because each chunk's delta folds exactly
         # once — harvested, retried or ladder-fallback alike.
-        use_transport(monkeypatch, transport)
         expected = serial_reference(spatial)
         clean = MatrixEngine(strategy="shared", cache=None, chunk_size=3,
                              max_workers=2)
@@ -360,10 +344,7 @@ class TestEngineUnderFaults:
         assert not engine._breaker.degraded
         assert live_arena_names() == frozenset()
 
-    @pytest.mark.parametrize("transport", ["shared", "pickled"])
-    def test_deadline_exceeded_raises_typed_error(self, spatial, transport,
-                                                  monkeypatch):
-        use_transport(monkeypatch, transport)
+    def test_deadline_exceeded_raises_typed_error(self, spatial):
         engine = resilient_engine("shared", deadline=0.05)
         install_fault_plan("slow_worker@p=1,delay=0.5")
         hits = counter_value("resilience.deadline_hits")
@@ -570,7 +551,6 @@ class TestServiceResilience:
 
 # ------------------------------------------------------------ arena hardening
 
-@needs_shm
 class TestArenaHardening:
     def test_injected_append_failure_falls_back_to_fresh_pack(self, spatial):
         cache = reset_arena_cache()

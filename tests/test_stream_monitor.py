@@ -137,6 +137,37 @@ def test_monitor_rejects_emptying_evict_and_bad_k():
         monitor.tick({}, {0: 2})
 
 
+@pytest.mark.parametrize("bad", [
+    {"evicts": {0: 99}},                        # would empty the window
+    {"evicts": {0: -1}},                        # negative count
+    {"evicts": {99: 1}},                        # unknown stream
+    {"appends": {99: [[0.5, 0.5]]}},            # unknown stream
+    {"appends": {1: np.zeros((2, 3))}},         # wrong point width
+])
+def test_rejected_tick_applies_nothing(bad):
+    rng = np.random.default_rng(11)
+    region = BoundingBox(0.0, 0.0, 1.0, 1.0)
+    windows = [rng.uniform(0.1, 0.9, size=(6, 2)) for _ in range(6)]
+    windows[3] = windows[3] + 5.0  # starts outside the region
+    pattern = rng.uniform(0.1, 0.9, size=(6, 2))
+    monitor = StreamMonitor([w.copy() for w in windows], pattern, region, k=4)
+    monitor.tick()
+    appends = {3: pattern, **bad.get("appends", {})}
+    with pytest.raises(ValueError):
+        monitor.tick(appends, bad.get("evicts"))
+    for stream_id, window in enumerate(windows):
+        np.testing.assert_array_equal(monitor.engine.window(stream_id), window)
+        np.testing.assert_array_equal(monitor.index.arrays[stream_id], window)
+    # A clean tick may evict up to the window plus its own append: stream 3's
+    # window becomes the pattern itself.
+    monitor.tick({3: pattern}, {3: 6})
+    windows[3] = pattern
+    expected = _brute_topk(windows, pattern, region, "dtw", 4)
+    got = [(distance, trajectory_id) for trajectory_id, distance in monitor.topk()]
+    assert got == expected
+    assert got[0] == (0.0, 3)
+
+
 def test_monitor_accepts_shared_engine_with_checkpoints():
     rng = np.random.default_rng(3)
     windows = _walks(rng, 6, 10, origin_scale=0.3)
