@@ -72,30 +72,75 @@ class Grid:
                     cells.append((nc, nr))
         return cells
 
+    def cells_of(self, coords) -> np.ndarray:
+        """``(n, 2)`` integer ``(column, row)`` cells of an ``(n, ≥2)`` point array.
+
+        The array form of :meth:`cell_of`, bitwise equal to it point by point
+        (truncation toward zero, then clamping to the grid).  Non-finite
+        coordinates have no cell and raise ``ValueError``.
+        """
+        coords = np.asarray(coords, dtype=np.float64)[:, :2]
+        if not np.isfinite(coords).all():
+            raise ValueError("grid cells need finite coordinates")
+        scaled = np.empty_like(coords)
+        scaled[:, 0] = (coords[:, 0] - self.bounding_box.min_lon) / self.cell_width
+        scaled[:, 1] = (coords[:, 1] - self.bounding_box.min_lat) / self.cell_height
+        upper = [self.num_columns - 1, self.num_rows - 1]
+        return np.clip(np.trunc(scaled), 0, upper).astype(np.int64)
+
+    def _cell_centers(self, cells: np.ndarray) -> np.ndarray:
+        """``(n, 2)`` centres of ``(n, 2)`` cells, :meth:`cell_center`'s arithmetic."""
+        centers = np.empty(cells.shape)
+        centers[..., 0] = self.bounding_box.min_lon + (cells[..., 0] + 0.5) * self.cell_width
+        centers[..., 1] = self.bounding_box.min_lat + (cells[..., 1] + 0.5) * self.cell_height
+        return centers
+
     # ------------------------------------------------------------ trajectories
+    @staticmethod
+    def _coordinates(trajectory) -> np.ndarray:
+        return trajectory.coordinates if isinstance(trajectory, Trajectory) else np.asarray(trajectory)
+
     def tokenize(self, trajectory: Trajectory) -> np.ndarray:
         """Sequence of flat cell tokens visited by the trajectory."""
-        coords = trajectory.coordinates if isinstance(trajectory, Trajectory) else np.asarray(trajectory)
-        return np.array([self.token_of(lon, lat) for lon, lat in coords[:, :2]], dtype=np.int64)
+        cells = self.cells_of(self._coordinates(trajectory))
+        return cells[:, 1] * self.num_columns + cells[:, 0]
 
     def cell_sequence(self, trajectory: Trajectory) -> np.ndarray:
         """Sequence of (column, row) cells visited by the trajectory."""
-        coords = trajectory.coordinates if isinstance(trajectory, Trajectory) else np.asarray(trajectory)
-        return np.array([self.cell_of(lon, lat) for lon, lat in coords[:, :2]], dtype=np.int64)
+        return self.cells_of(self._coordinates(trajectory))
 
     def features(self, trajectory: Trajectory) -> np.ndarray:
         """Per-point features: normalised coordinates plus normalised cell indices.
 
         This is the hybrid coordinate/cell representation Neutraj feeds to its GRU.
         """
-        coords = trajectory.coordinates if isinstance(trajectory, Trajectory) else np.asarray(trajectory)
-        coords = coords[:, :2]
-        cells = np.array([self.cell_of(lon, lat) for lon, lat in coords], dtype=np.float64)
+        coords = self._coordinates(trajectory)[:, :2]
+        cells = self.cells_of(coords).astype(np.float64)
         normalised_coords = np.empty_like(coords)
         normalised_coords[:, 0] = (coords[:, 0] - self.bounding_box.min_lon) / max(self.bounding_box.width, 1e-12)
         normalised_coords[:, 1] = (coords[:, 1] - self.bounding_box.min_lat) / max(self.bounding_box.height, 1e-12)
         normalised_cells = cells / [self.num_columns, self.num_rows]
         return np.hstack([normalised_coords, normalised_cells])
+
+    def neighborhood_means(self, cells: np.ndarray, radius: int = 1) -> np.ndarray:
+        """Mean centre of each cell together with its :meth:`neighbors_of` cells.
+
+        Centres are summed in the scalar order — the cell itself first, then
+        the in-grid neighbours in ``dc``/``dr`` order — so every mean is
+        bitwise equal to averaging the list ``[cell] + neighbors_of(cell)``.
+        """
+        total = self._cell_centers(cells)
+        count = np.ones(len(cells))
+        for dc in range(-radius, radius + 1):
+            for dr in range(-radius, radius + 1):
+                if dc == 0 and dr == 0:
+                    continue
+                neighbor = cells + [dc, dr]
+                inside = ((neighbor[:, 0] >= 0) & (neighbor[:, 0] < self.num_columns)
+                          & (neighbor[:, 1] >= 0) & (neighbor[:, 1] < self.num_rows))
+                total = np.where(inside[:, None], total + self._cell_centers(neighbor), total)
+                count += inside
+        return total / count[:, None]
 
 
 class SpatioTemporalGrid:

@@ -67,7 +67,7 @@ class TrajectoryEncoder(Module):
     # ----------------------------------------------------------------- utilities
     def prepare_dataset(self, dataset: TrajectoryDataset) -> list:
         """Prepare every trajectory of a dataset."""
-        return [self.prepare(trajectory) for trajectory in dataset]
+        return self.prepare_batch(list(dataset))
 
     def prepare_batch(self, trajectories) -> list:
         """Prepare a batch of trajectories (the ``encode_batch`` counterpart)."""

@@ -44,18 +44,27 @@ class NeutrajEncoder(TrajectoryEncoder):
                    neighbor_radius=neighbor_radius, seed=seed)
 
     def prepare(self, trajectory: Trajectory) -> np.ndarray:
-        base = self.grid.features(trajectory)  # (n, 4): norm lon/lat + norm cell col/row
-        coords = trajectory.coordinates
-        smoothed = np.zeros((len(coords), 2))
+        return self.prepare_batch([trajectory])[0]
+
+    def prepare_batch(self, trajectories) -> list:
+        """Per-point features of every trajectory, computed in one array pass.
+
+        The features are point-wise, so the points of all trajectories are
+        processed stacked and split back per trajectory afterwards.
+        """
+        coords = [trajectory.coordinates for trajectory in trajectories]
+        if not coords:
+            return []
+        stacked = np.concatenate(coords)
+        base = self.grid.features(stacked)  # (n, 4): norm lon/lat + norm cell col/row
+        cells = self.grid.cells_of(stacked)
+        mean_centers = self.grid.neighborhood_means(cells, self.neighbor_radius)
         box = self.grid.bounding_box
-        for index, (lon, lat) in enumerate(coords):
-            column, row = self.grid.cell_of(lon, lat)
-            cells = [(column, row)] + self.grid.neighbors_of(column, row, self.neighbor_radius)
-            centers = np.array([self.grid.cell_center(c, r) for c, r in cells])
-            mean_center = centers.mean(axis=0)
-            smoothed[index, 0] = (mean_center[0] - box.min_lon) / max(box.width, 1e-12)
-            smoothed[index, 1] = (mean_center[1] - box.min_lat) / max(box.height, 1e-12)
-        return np.hstack([base, smoothed])
+        smoothed = np.empty_like(mean_centers)
+        smoothed[:, 0] = (mean_centers[:, 0] - box.min_lon) / max(box.width, 1e-12)
+        smoothed[:, 1] = (mean_centers[:, 1] - box.min_lat) / max(box.height, 1e-12)
+        features = np.hstack([base, smoothed])
+        return np.split(features, np.cumsum([len(c) for c in coords])[:-1])
 
     def encode(self, prepared: np.ndarray) -> Tensor:
         _, hidden = self.recurrent(Tensor(prepared), return_sequence=False)

@@ -67,16 +67,22 @@ class Tensor:
         Whether gradients should be accumulated for this tensor.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_prev", "name",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _prev=(), name: str = ""):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        # A leaf keeps the flag it was given, even under ``no_grad``: a
+        # parameter built there must still train.  Only op outputs
+        # (:meth:`_make`) consult the grad mode.
+        self.requires_grad = bool(requires_grad)
         self.grad = None
         self._backward = None
-        self._prev = tuple(_prev) if self.requires_grad or _prev else ()
+        # Parents are kept only on nodes that back-propagate, so an op output
+        # that does not require grad pins none of its inputs.
+        self._prev = tuple(_prev) if self.requires_grad else ()
         self.name = name
 
     # ------------------------------------------------------------------ utils
@@ -116,7 +122,7 @@ class Tensor:
     # --------------------------------------------------------------- plumbing
     @staticmethod
     def _make(data, parents, backward, requires_grad):
-        out = Tensor(data, requires_grad=requires_grad, _prev=parents)
+        out = Tensor(data, requires_grad=requires_grad and _GRAD_ENABLED, _prev=parents)
         if out.requires_grad:
             out._backward = backward
         return out

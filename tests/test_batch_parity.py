@@ -21,6 +21,7 @@ from repro.nn import (
     LSTM,
     Tensor,
     masked_mean,
+    mse_loss,
     no_grad,
     pad_sequences,
     pad_token_sequences,
@@ -314,3 +315,37 @@ class TestTrainingStepParity:
             trainer.fit(spatial_dataset, spatial_truth[:, :4], epochs=1)
         with pytest.raises(ValueError, match="holds 10 trajectories"):
             trainer.fit(spatial_dataset, spatial_truth[:4, :4], epochs=1)
+
+
+# ------------------------------------------------------------ tape size
+class TestTapeSize:
+    """Recurrent layers are one tape op per sequence, whatever its length.
+
+    A deterministic gate against a per-step unroll coming back: the graph of
+    a batched NeuTraj + LH-plugin (LSTM fusion) training loss has the same
+    number of nodes for 5-step and 40-step trajectories.
+    """
+
+    @staticmethod
+    def _tape_nodes(dataset, steps):
+        trajectories = [trajectory.resample(steps) for trajectory in dataset]
+        encoder = get_model("neutraj").build(dataset, embedding_dim=8, hidden_dim=12, seed=0)
+        plugin = LHPlugin(LHPluginConfig(factor_dim=4, fusion_hidden=8, seed=0))
+        embeddings = encoder.encode_batch(encoder.prepare_batch(trajectories))
+        v_lo, v_eu = plugin.fusion.factors_batch(
+            [trajectory.coordinates for trajectory in trajectories])
+        pairs = np.array([[0, 1], [2, 3], [1, 4], [5, 0]])
+        a, b = pairs[:, 0], pairs[:, 1]
+        distances = plugin.pair_distances_from(embeddings[a], embeddings[b],
+                                               (v_lo[a], v_eu[a]), (v_lo[b], v_eu[b]))
+        loss = mse_loss(distances, Tensor(np.linspace(0.1, 0.4, len(pairs))))
+        seen, pending = set(), [loss]
+        while pending:
+            node = pending.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                pending.extend(node._prev)
+        return len(seen)
+
+    def test_tape_size_independent_of_length(self, spatial_dataset):
+        assert self._tape_nodes(spatial_dataset, 5) == self._tape_nodes(spatial_dataset, 40)

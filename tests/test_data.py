@@ -226,6 +226,80 @@ class TestGrid:
             assert tokens.min() >= 0 and tokens.max() < grid.num_cells
 
 
+class TestGridArrayParity:
+    """The array forms of the grid preprocessing against the scalar API.
+
+    ``cell_of`` / ``neighbors_of`` / ``cell_center`` stay the oracle; the
+    vectorised cells, features, tokens and NeuTraj neighbour means must equal
+    a per-point loop over them bit for bit.
+    """
+
+    @staticmethod
+    def _points(grid, seed=0):
+        box = grid.bounding_box
+        rng = np.random.default_rng(seed)
+        # Inside the box, on cell edges, and well outside it on every side.
+        inside = rng.uniform([box.min_lon, box.min_lat], [box.max_lon, box.max_lat],
+                             size=(40, 2))
+        edges = np.array([[box.min_lon, box.min_lat], [box.max_lon, box.max_lat],
+                          [box.min_lon + grid.cell_width, box.min_lat + grid.cell_height]])
+        span = np.array([box.width, box.height])
+        outside = np.array([[box.min_lon, box.min_lat]]) + rng.uniform(-3, 4, size=(40, 2)) * span
+        extreme = np.array([[-1e300, 1e300], [1e300, -1e300]])
+        return np.vstack([inside, edges, outside, extreme])
+
+    @staticmethod
+    def _scalar_means(grid, points, radius):
+        means = []
+        for lon, lat in points:
+            column, row = grid.cell_of(lon, lat)
+            cells = [(column, row)] + grid.neighbors_of(column, row, radius)
+            means.append(np.array([grid.cell_center(c, r) for c, r in cells]).mean(axis=0))
+        return np.array(means)
+
+    @pytest.mark.parametrize("size", [1, 2, 24])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_matches_scalar_loop_bitwise(self, size, radius):
+        grid = Grid(BoundingBox(103.9, 30.5, 104.2, 30.8), num_columns=size, num_rows=size)
+        points = self._points(grid, seed=size + radius)
+        scalar_cells = np.array([grid.cell_of(lon, lat) for lon, lat in points])
+        cells = grid.cells_of(points)
+        np.testing.assert_array_equal(cells, scalar_cells)
+        np.testing.assert_array_equal(grid.cell_sequence(points), scalar_cells)
+        np.testing.assert_array_equal(grid.tokenize(points),
+                                      [grid.token_of(lon, lat) for lon, lat in points])
+        features = grid.features(points)
+        np.testing.assert_array_equal(features[:, 2:],
+                                      scalar_cells / [grid.num_columns, grid.num_rows])
+        means = grid.neighborhood_means(cells, radius)
+        assert np.array_equal(means, self._scalar_means(grid, points, radius))
+
+    def test_neutraj_prepare_matches_scalar_loop(self):
+        from repro.models import get_model
+
+        ds = generate_dataset("chengdu", size=12, seed=3)
+        for radius in (0, 1, 2):
+            encoder = get_model("neutraj").build(ds, grid_size=6, neighbor_radius=radius)
+            grid, box = encoder.grid, encoder.grid.bounding_box
+            batch = encoder.prepare_dataset(ds)
+            for trajectory, prepared in zip(ds, batch):
+                means = self._scalar_means(grid, trajectory.coordinates, radius)
+                smoothed = np.column_stack([
+                    (means[:, 0] - box.min_lon) / max(box.width, 1e-12),
+                    (means[:, 1] - box.min_lat) / max(box.height, 1e-12)])
+                expected = np.hstack([grid.features(trajectory), smoothed])
+                assert np.array_equal(prepared, expected)
+                assert np.array_equal(encoder.prepare(trajectory), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_raise(self, bad):
+        grid = Grid(BoundingBox(0.0, 0.0, 10.0, 10.0), num_columns=5, num_rows=5)
+        points = np.array([[1.0, 1.0], [bad, 2.0]])
+        for method in (grid.cells_of, grid.cell_sequence, grid.tokenize, grid.features):
+            with pytest.raises(ValueError):
+                method(points)
+
+
 class TestSpatioTemporalGrid:
     def test_requires_time(self):
         ds = generate_dataset("chengdu", size=4, seed=0)

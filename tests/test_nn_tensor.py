@@ -1,9 +1,22 @@
 """Unit tests for the autodiff Tensor engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, as_tensor, concat, is_grad_enabled, no_grad, softmax, stack
+from repro.nn import (
+    Adam,
+    Linear,
+    Tensor,
+    as_tensor,
+    concat,
+    is_grad_enabled,
+    no_grad,
+    softmax,
+    stack,
+)
 
 
 def numerical_gradient(func, value, eps=1e-6):
@@ -65,6 +78,44 @@ class TestTensorBasics:
             y = Tensor([1.0], requires_grad=True) * 2
             assert not y.requires_grad
         assert is_grad_enabled()
+
+    def test_leaf_built_under_no_grad_keeps_its_flag(self):
+        with no_grad():
+            leaf = Tensor([1.0], requires_grad=True)
+        assert leaf.requires_grad
+
+    def test_parameters_built_under_no_grad_train(self):
+        with no_grad():
+            layer = Linear(3, 2, rng=np.random.default_rng(0))
+        before = [p.data.copy() for p in layer.parameters()]
+        optimizer = Adam(list(layer.parameters()), lr=0.1)
+        layer(Tensor(np.ones((4, 3)))).sum().backward()
+        optimizer.step()
+        for old, param in zip(before, layer.parameters()):
+            assert param.requires_grad
+            assert not np.array_equal(old, param.data)
+
+    def test_no_grad_outputs_keep_no_parents(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            y = x * 2.0
+        assert y._prev == ()
+        assert y._backward is None
+
+    def test_no_grad_intermediates_are_freed(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        refs = []
+
+        def expression():
+            intermediate = x * 2.0
+            refs.append(weakref.ref(intermediate))
+            return (intermediate + 1.0).sum()
+
+        with no_grad():
+            out = expression()
+        gc.collect()
+        assert refs[0]() is None
+        assert out.data == pytest.approx(9.0)
 
 
 class TestArithmeticGradients:
