@@ -95,7 +95,11 @@ class KernelBackend:
         (``"dtw_banded"`` selects the band-restricted DTW extension).  A
         backend returning None makes :class:`~repro.engine.streaming.
         StreamingEngine` fall back to the reference loops, so partial
-        coverage degrades to correct-but-slower, never to wrong.
+        coverage degrades to correct-but-slower, never to wrong.  These
+        per-pair loops serve ``StreamingEngine.value``; on a non-compiled
+        backend ``StreamingEngine.values`` advances many frontiers through
+        the batch kernels' stacked sweep instead, and on a compiled one it
+        calls ``value`` per pair.
         """
         return None
 

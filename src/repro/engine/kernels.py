@@ -340,6 +340,20 @@ def _suffix_max(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sweep_table(mode: str, table: np.ndarray, data: np.ndarray,
+                 gap_cost_a: np.ndarray | None = None,
+                 gap_cost_b: np.ndarray | None = None) -> None:
+    """Fill ``table`` in place: ``mode``'s step over every anti-diagonal.
+
+    ``table`` is a C-contiguous ``(batch, n+1, m+1)`` table whose row 0 and
+    column 0 already hold the borders, ``data`` the ``(batch, n, m)`` cost (or
+    match) tensor.  The plain batch sweep starts from :func:`_initial_table`;
+    the streaming engine starts from each pair's frontier column.
+    """
+    _STEPS[mode](_flatten(table), _flatten(data), gap_cost_a, gap_cost_b,
+                 _diagonal_slices(data.shape[1], data.shape[2]))
+
+
 def _sweep(mode: str, data: np.ndarray, lengths_a: np.ndarray,
            lengths_b: np.ndarray, thresholds: np.ndarray | None,
            gap_cost_a: np.ndarray | None = None,
@@ -412,16 +426,16 @@ def _sweep(mode: str, data: np.ndarray, lengths_a: np.ndarray,
     step = _STEPS[mode]
     batch, n, m = data.shape
     table = _initial_table(mode, batch, n, m, gap_cost_a, gap_cost_b)
-    flat = _flatten(table)
-    flat_data = _flatten(data)
     if thresholds is None:
         _count_cells(batch * n * m, measure)
-        step(flat, flat_data, gap_cost_a, gap_cost_b, _diagonal_slices(n, m))
+        _sweep_table(mode, table, data, gap_cost_a, gap_cost_b)
         values = table[np.arange(batch), lengths_a, lengths_b]
         if mode == "lcss":
             return 1.0 - values / np.minimum(lengths_a, lengths_b)
         return values
 
+    flat = _flatten(table)
+    flat_data = _flatten(data)
     la = lengths_a.astype(np.int64)
     lb = lengths_b.astype(np.int64)
     tau = _abandon_cutoff(thresholds)

@@ -38,13 +38,31 @@ frontier bound strictly exceeds ``τ`` plus the same fp safety slack the batch
 kernels use, mirroring their abandoning contract: finite values are exact and
 bitwise, ``+inf`` only when the distance provably exceeds ``τ``.
 
-Extension loops come from the kernel-backend registry
+**Two extension paths.**  ``value(pair)`` extends one pair through the
+per-pair loops from the kernel-backend registry
 (:meth:`~repro.engine.backends.KernelBackend.stream_kernel`): the numpy
 backend runs the reference scalar loops, the numba backend the ``@njit``
-twins.  Cell and abandon counts flow into the :mod:`repro.obs` registry under
+twins.  ``values(pairs)`` serves many pairs at once: on the numpy backend it
+collects every frontier they need advanced — primaries, full-window replays
+and the checkpoints those seed — and runs them as stacked anti-diagonal
+sweeps of the batch kernels' own recurrence (:data:`repro.engine.kernels.
+_STEPS`), with each frontier as column 0 of its table.  Sweeps are grouped by
+(measure, pattern, measure arguments), sorted by delta into blocks of
+similar width (widths above 32 rounded up to a multiple of 32) and capped
+at about ``2**18`` cells, so the ``_diagonal_slices`` cache sees a bounded
+set of shapes.  Both paths leave the same state and the same bits; the
+scalar loops stay because one pair's short extend costs ~26 µs there
+against ~220 µs for a sweep's per-diagonal numpy calls (EDR, 2 columns,
+n=32, 2-core x86 box).
+Compiled backends serve ``values()`` through ``value()``.
+
+Cell and abandon counts flow into the :mod:`repro.obs` registry under
 ``stream.*`` (``stream.dp_cells``, ``stream.dp_cells.<measure>``,
 ``stream.abandoned.<measure>``, ``stream.replays``, …), next to the batch
-kernels' ``engine.*`` counters.
+kernels' ``engine.*`` counters.  Non-finite coordinates are rejected on the
+way in (``register_stream`` / ``append`` / ``watch`` raise ``ValueError``
+naming the stream): the loops' ``<`` comparisons and the sweeps'
+``np.minimum`` would treat NaN differently.
 """
 
 from __future__ import annotations
@@ -56,9 +74,10 @@ import numpy as np
 
 from ..config import env_int
 from ..distances.base import as_points
+from ..distances.spatiotemporal import spatiotemporal_point_cost
 from ..obs import registry as obs_registry
+from . import kernels
 from .backends import resolve_backend
-from .kernels import _abandon_cutoff
 from .stream_kernels import (
     STREAM_KERNELS,
     STREAM_MEASURES,
@@ -90,6 +109,56 @@ def _measure_abandon_counter(measure: str):
 def _count_stream_cells(cells: int, measure: str) -> None:
     _STREAM_CELLS.add(cells)
     _measure_cell_counter(measure).add(cells)
+
+
+def _checked_points(points, what: str) -> np.ndarray:
+    """``points`` as an ``(n, d>=2)`` float64 array of finite coordinates."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim == 1:
+        points = points[None, :]
+    if points.ndim != 2 or points.shape[1] < 2:
+        raise ValueError(f"{what} must form an (n, d>=2) array, "
+                         f"got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{what} contain non-finite coordinates")
+    return points
+
+
+#: Cell budget of one stacked extend sweep (rows × n × padded width).
+_BLOCK_CELLS = 1 << 18
+#: Sweep widths above this round up to a multiple of it, so the
+#: ``_diagonal_slices`` cache sees a bounded set of ``(n, width)`` shapes.
+_WIDTH_STEP = 32
+
+
+def _padded_width(delta: int) -> int:
+    return delta if delta <= _WIDTH_STEP else -(-delta // _WIDTH_STEP) * _WIDTH_STEP
+
+
+def _segment_limit(n: int) -> int:
+    """Most columns one row advances per stacked sweep, so a single row stays
+    within :data:`_BLOCK_CELLS` (longer advances run as several sweeps)."""
+    return max(_WIDTH_STEP, _BLOCK_CELLS // n // _WIDTH_STEP * _WIDTH_STEP)
+
+
+def _plan_blocks(deltas: list[int], n: int) -> list[tuple[int, list[int]]]:
+    """Split rows advancing ``deltas[r]`` columns into ``(width, rows)`` sweeps.
+
+    Rows go widest first; a row joins the open block while the block's sweep
+    (``n + width`` anti-diagonals) is at most twice its own and the block
+    stays within :data:`_BLOCK_CELLS` cells, otherwise it opens a new block at
+    its own padded width.  Every ``delta`` must be ``<= _segment_limit(n)``.
+    """
+    blocks: list[tuple[int, list[int]]] = []
+    for row in sorted(range(len(deltas)), key=lambda r: -deltas[r]):
+        if blocks:
+            width, rows = blocks[-1]
+            if (n + width <= 2 * (n + deltas[row])
+                    and (len(rows) + 1) * n * width <= _BLOCK_CELLS):
+                rows.append(row)
+                continue
+        blocks.append((_padded_width(deltas[row]), [row]))
+    return blocks
 
 
 def _resolve_checkpoint(value) -> int:
@@ -162,7 +231,7 @@ class _Frontier:
 class _Pair:
     __slots__ = ("pair_id", "stream_id", "measure", "pattern", "kernel_key",
                  "extend_args", "band", "gap_cost_a", "primary", "checkpoints",
-                 "spatial")
+                 "spatial", "sweep_key")
 
     def __init__(self, pair_id, stream_id, measure, pattern, kernel_key,
                  extend_args, band, gap_cost_a, spatial):
@@ -177,6 +246,10 @@ class _Pair:
         self.spatial = spatial
         self.primary: _Frontier | None = None
         self.checkpoints: dict[int, _Frontier] = {}
+        #: Pairs sharing this key advance together in one stacked sweep.
+        self.sweep_key = (kernel_key, pattern.shape, pattern.tobytes(),
+                          tuple(arg for arg in extend_args
+                                if not isinstance(arg, np.ndarray)))
 
 
 class StreamingEngine:
@@ -203,6 +276,8 @@ class StreamingEngine:
         """
         if stream_id in self._streams:
             raise KeyError(f"stream {stream_id!r} already registered")
+        if points is not None and len(points):
+            points = _checked_points(points, f"points of stream {stream_id!r}")
         self._streams[stream_id] = _Stream(None, windowed)
         self._by_stream[stream_id] = []
         if points is not None and len(points):
@@ -239,6 +314,9 @@ class StreamingEngine:
             raise KeyError(f"unknown stream {stream_id!r}")
         spatial = measure != "dita"
         a = as_points(pattern, spatial_only=spatial)
+        if not np.isfinite(a).all():
+            raise ValueError(f"pattern watched on stream {stream_id!r} "
+                             f"contains non-finite coordinates")
         if not spatial and a.shape[1] < 3:
             raise ValueError("dita requires patterns with a time column")
         a = np.ascontiguousarray(a)
@@ -293,12 +371,8 @@ class StreamingEngine:
         on the stream extends now and the fresh values are returned as
         ``{pair_id: value}``.
         """
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim == 1:
-            points = points[None, :]
-        if points.ndim != 2 or points.shape[1] < 2:
-            raise ValueError("appended points must form an (n, d>=2) array")
         stream = self._streams[stream_id]
+        points = _checked_points(points, f"points appended to stream {stream_id!r}")
         stream.append(points)
         obs_registry.counter("stream.appends").add(1)
         obs_registry.counter("stream.append_points").add(len(points))
@@ -378,7 +452,7 @@ class StreamingEngine:
         if primary.done < target:
             extend = self._extend_fn(pair)
             cutoff = None if threshold is None or not np.isfinite(threshold) \
-                else float(_abandon_cutoff(threshold))
+                else float(kernels._abandon_cutoff(threshold))
             if cutoff is None:
                 self._advance(pair, primary, stream, target, extend)
             else:
@@ -394,6 +468,55 @@ class StreamingEngine:
                             return _INF
             self._seed_checkpoints(pair, stream, primary.done)
         return frontier_value(pair.measure, primary.column, n, m_final)
+
+    def _current_value(self, pair_id: Hashable) -> float:
+        pair = self._pairs[pair_id]
+        stream = self._streams[pair.stream_id]
+        return frontier_value(pair.measure, pair.primary.column,
+                              pair.pattern.shape[0], stream.total - stream.head)
+
+    def values(self, pair_ids) -> np.ndarray:
+        """Exact values of many pairs, as ``value()`` would return them one by one.
+
+        On the numpy backend every frontier the calls would advance — each
+        primary plus the checkpoint frontiers it seeds — runs through stacked
+        anti-diagonal sweeps of the batch kernels' recurrence
+        (:func:`repro.engine.kernels._sweep_table`), grouped by measure,
+        pattern and measure arguments: the table's column 0 is the frontier
+        and its columns ``1..Δ`` the stream's new points.  State, checkpoints
+        and counters end up as after the scalar calls, and every value is
+        bitwise identical; the only accounting difference is that banded DTW
+        charges ``n·Δ`` cells (out-of-band cells run through the sweep, as in
+        the batch kernels).  Compiled backends loop over :meth:`value`.
+        """
+        pair_ids = list(pair_ids)
+        if self._backend.compiled:
+            return np.array([self.value(pair_id) for pair_id in pair_ids],
+                            dtype=np.float64)
+        rows = []
+        for pair_id in dict.fromkeys(pair_ids):
+            pair = self._pairs[pair_id]
+            stream = self._streams[pair.stream_id]
+            primary = self._anchored_primary(pair, stream)
+            if primary.done < stream.total:
+                rows.append((pair, primary, stream))
+                rows += [(pair, frontier, stream) for frontier in
+                         self._checkpoints_behind(pair, stream, stream.total)]
+        while rows:
+            groups: dict[tuple, list] = {}
+            for row in rows:
+                groups.setdefault(row[0].sweep_key, []).append(row)
+            for group in groups.values():
+                n = group[0][0].pattern.shape[0]
+                limit = _segment_limit(n)
+                deltas = [min(stream.total - frontier.done, limit)
+                          for _, frontier, stream in group]
+                for width, block in _plan_blocks(deltas, n):
+                    self._sweep_block([group[r] for r in block],
+                                      [deltas[r] for r in block], width)
+            rows = [row for row in rows if row[1].done < row[2].total]
+        return np.array([self._current_value(pair_id) for pair_id in pair_ids],
+                        dtype=np.float64)
 
     def force(self, stream_id: Hashable) -> dict:
         """Extend every pair on the stream; returns ``{pair_id: value}``."""
@@ -466,20 +589,85 @@ class StreamingEngine:
 
     def _seed_checkpoints(self, pair: _Pair, stream: _Stream, upto: int) -> None:
         """Create/extend checkpoint frontiers through ``upto`` on windowed streams."""
+        behind = self._checkpoints_behind(pair, stream, upto)
+        if behind:
+            extend = self._extend_fn(pair)
+            for frontier in behind:
+                self._advance(pair, frontier, stream, upto, extend)
+
+    def _checkpoints_behind(self, pair: _Pair, stream: _Stream,
+                            upto: int) -> list[_Frontier]:
+        """Create the checkpoint frontiers due through ``upto`` on a windowed
+        stream; returns every checkpoint not yet extended through ``upto``."""
         interval = self.checkpoint_every
         if not interval or not stream.windowed or pair.band is not None:
-            return
-        extend = None
+            return []
         first = ((stream.head // interval) + 1) * interval
         for start in range(first, upto + 1, interval):
             if start not in pair.checkpoints:
                 pair.checkpoints[start] = self._fresh_frontier(pair, start)
                 obs_registry.counter("stream.checkpoints_created").add(1)
-        for frontier in pair.checkpoints.values():
-            if frontier.done < upto:
-                if extend is None:
-                    extend = self._extend_fn(pair)
-                self._advance(pair, frontier, stream, upto, extend)
+        return [frontier for frontier in pair.checkpoints.values()
+                if frontier.done < upto]
+
+    def _sweep_block(self, rows: list, deltas: list[int], width: int) -> None:
+        """Advance each row's frontier by its ``delta`` columns in one stacked
+        anti-diagonal sweep of ``width`` columns (rows share a sweep key)."""
+        pair = rows[0][0]
+        a = pair.pattern
+        n = a.shape[0]
+        dim = 2 if pair.spatial else 3
+        points = np.zeros((len(rows), width, dim))
+        table = np.empty((len(rows), n + 1, width + 1))
+        for row, ((_, frontier, stream), delta) in enumerate(zip(rows, deltas)):
+            new = stream.slice(frontier.done, frontier.done + delta)
+            if not pair.spatial and new.shape[1] < 3:
+                raise ValueError("dita requires streams with a time column")
+            points[row, :delta] = new[:, :dim]
+            table[row, :, 0] = frontier.column
+        # Row 0 continues the border from each frontier's corner.
+        corner = table[:, 0, :1]
+        gap_cost_a = gap_cost_b = None
+        mode = "dtw" if pair.measure == "dita" else pair.measure
+        if pair.measure == "edr":
+            data = kernels._match_tensor(a[None], points, pair.extend_args[0])
+            table[:, 0, 1:] = corner + np.arange(1, width + 1)
+        elif pair.measure == "lcss":
+            data = kernels._match_tensor(a[None], points, pair.extend_args[0])
+            table[:, 0, 1:] = corner
+        elif pair.measure == "erp":
+            data = kernels._euclidean_cost(a[None], points)
+            gap_point = np.array(pair.extend_args[1:])
+            gap_cost_a = pair.gap_cost_a[None]
+            gap_cost_b = np.sqrt(((points - gap_point) ** 2).sum(axis=-1))
+            # Row 0 accumulates the gap costs left to right from the frontier's
+            # corner, the same additions the scalar loop makes.
+            np.cumsum(np.concatenate([corner, gap_cost_b], axis=1), axis=1,
+                      out=table[:, 0, :])
+        else:
+            table[:, 0, 1:] = np.inf
+            if pair.measure == "dita":
+                lambda_spatial, time_scale = pair.extend_args
+                data = spatiotemporal_point_cost(
+                    a, points.reshape(-1, dim), lambda_spatial, time_scale,
+                ).reshape(n, len(rows), width).transpose(1, 0, 2).copy()
+            else:
+                data = kernels._euclidean_cost(a[None], points)
+            if pair.kernel_key == "dtw_banded":
+                # Out-of-band cells cost +inf (global column indices, as the
+                # batch kernel masks them), so their table cells stay +inf.
+                offsets = np.array([frontier.done - frontier.start
+                                    for _, frontier, _ in rows])
+                radii = np.array([frontier.radius for _, frontier, _ in rows])
+                columns = offsets[:, None, None] + np.arange(width)[None, None, :]
+                data[np.abs(np.arange(n)[None, :, None] - columns)
+                     > radii[:, None, None]] = np.inf
+        kernels._sweep_table(mode, table, data, gap_cost_a, gap_cost_b)
+        columns = table[np.arange(len(rows)), :, deltas]
+        for row, ((_, frontier, _), delta) in enumerate(zip(rows, deltas)):
+            frontier.column = columns[row]
+            frontier.done += delta
+        _count_stream_cells(n * sum(deltas), pair.measure)
 
     def stats(self) -> dict:
         """Engine-level tallies (the ``stream.*`` registry counters hold totals)."""

@@ -11,6 +11,7 @@ from .efficiency import (
     time_callable,
     database_memory_bytes,
     retrieval_latency,
+    retrieval_overhead,
     matrix_build_latency,
     search_latency,
     EfficiencyResult,
@@ -20,5 +21,5 @@ __all__ = [
     "hit_rate", "per_query_hit_rate", "ndcg", "evaluate_retrieval",
     "euclidean_distance_matrix",
     "time_callable", "database_memory_bytes", "retrieval_latency",
-    "matrix_build_latency", "search_latency", "EfficiencyResult",
+    "retrieval_overhead", "matrix_build_latency", "search_latency", "EfficiencyResult",
 ]

@@ -23,6 +23,7 @@ __all__ = [
     "time_callable",
     "database_memory_bytes",
     "retrieval_latency",
+    "retrieval_overhead",
     "matrix_build_latency",
     "search_latency",
     "EfficiencyResult",
@@ -159,6 +160,49 @@ def retrieval_latency(query_embeddings: np.ndarray, database_embeddings: np.ndar
     online latency, as in the paper) and the online step computes the fused distance
     matrix before the top-k selection.
     """
+    run, result = _retrieval_probe(query_embeddings, database_embeddings, k, plugin,
+                                   query_sequences, database_sequences)
+    result["latency_seconds"] = time_callable(run, repeats=repeats)
+    return result
+
+
+def retrieval_overhead(query_embeddings: np.ndarray, database_embeddings: np.ndarray,
+                       plugin: LHPlugin, query_sequences, database_sequences,
+                       k: int = 10, repeats: int = 3
+                       ) -> tuple[EfficiencyResult, EfficiencyResult, list[float]]:
+    """Time Euclidean and plugin retrieval interleaved on the same arrays.
+
+    Both paths run once untimed (warm-up), then each repeat times one call of
+    each, alternating which goes first, so machine drift lands on both sides
+    of every repeat.  Returns the baseline and plugin results (median
+    latencies, as :func:`retrieval_latency` reports them) and the per-repeat
+    ``plugin / baseline`` latency ratios.
+    """
+    if repeats <= 0:
+        raise ValueError("repeats must be positive")
+    probes = [_retrieval_probe(query_embeddings, database_embeddings, k, None,
+                               None, None),
+              _retrieval_probe(query_embeddings, database_embeddings, k, plugin,
+                               query_sequences, database_sequences)]
+    for run, _ in probes:
+        run()
+    samples: list[list[float]] = [[], []]
+    for repeat in range(repeats):
+        for side in ((0, 1) if repeat % 2 == 0 else (1, 0)):
+            start = time.perf_counter()
+            probes[side][0]()
+            samples[side].append(time.perf_counter() - start)
+    (_, baseline), (_, plugged) = probes
+    baseline["latency_seconds"] = float(np.median(samples[0]))
+    plugged["latency_seconds"] = float(np.median(samples[1]))
+    ratios = [with_plugin / without for without, with_plugin in zip(*samples)]
+    return baseline, plugged, ratios
+
+
+def _retrieval_probe(query_embeddings, database_embeddings, k: int,
+                     plugin: LHPlugin | None, query_sequences, database_sequences
+                     ) -> tuple[Callable[[], np.ndarray], EfficiencyResult]:
+    """The online top-k step as a callable, and its result without a latency."""
     query_embeddings = np.asarray(query_embeddings, dtype=np.float64)
     database_embeddings = np.asarray(database_embeddings, dtype=np.float64)
     k = min(k, len(database_embeddings))
@@ -176,9 +220,8 @@ def retrieval_latency(query_embeddings: np.ndarray, database_embeddings: np.ndar
         def run() -> np.ndarray:
             return knn_from_matrix(plugin.distance_matrix(query_db, database), k)
 
-    latency = time_callable(run, repeats=repeats)
-    return EfficiencyResult(
-        latency_seconds=latency,
+    return run, EfficiencyResult(
+        latency_seconds=None,
         memory_bytes=database_memory_bytes(database),
         database_size=len(database_embeddings),
         num_queries=len(query_embeddings),

@@ -12,7 +12,11 @@ Latency: both paths share the Gram matmul and the top-k selection
 matmul).  What remains of the gap is the plugin's O(nm) element-wise work on top of
 the shared matmul — the Lorentz distances, the fusion weights α and the blend — so
 the relative increase does not vanish with database size at these scales; it is
-measured, not assumed (about +45% at 5k and 20k on a 2-core numpy box).
+measured, not assumed (about +45% at 5k and 20k on a 2-core numpy box).  Both
+paths are timed interleaved on the same arrays after a warm-up
+(:func:`repro.eval.retrieval_overhead`), and the reported increase is the median
+of the per-repeat latency ratios, so machine drift between two separate timing
+runs cannot masquerade as plugin overhead (or as a plugin speed-up).
 
 Database sizes are scaled down (the paper uses 10k/100k/1m) so the benchmark runs in
 seconds.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LHPlugin, LHPluginConfig
-from ..eval import retrieval_latency
+from ..eval import retrieval_overhead
 from .reporting import format_percent, format_table
 
 __all__ = ["run", "format_result"]
@@ -49,18 +53,15 @@ def run(database_sizes=DEFAULT_SIZES, num_queries: int = 20, embedding_dim: int 
         database_sequences = [rng.random((8, 2)) for _ in range(size)]
         query_sequences = [rng.random((8, 2)) for _ in range(num_queries)]
 
-        baseline = retrieval_latency(query_embeddings, database_embeddings, k=k,
-                                     repeats=repeats)
-        plugged = retrieval_latency(query_embeddings, database_embeddings, k=k,
-                                    plugin=plugin, query_sequences=query_sequences,
-                                    database_sequences=database_sequences,
-                                    repeats=repeats)
+        baseline, plugged, ratios = retrieval_overhead(
+            query_embeddings, database_embeddings, plugin, query_sequences,
+            database_sequences, k=k, repeats=repeats)
         rows.append({
             "database_size": size,
             "original": baseline,
             "lh-plugin": plugged,
-            "latency_increase": (plugged["latency_seconds"] - baseline["latency_seconds"])
-            / baseline["latency_seconds"],
+            "latency_ratios": ratios,
+            "latency_increase": float(np.median(ratios)) - 1.0,
             "memory_increase": (plugged["memory_bytes"] - baseline["memory_bytes"])
             / baseline["memory_bytes"],
         })

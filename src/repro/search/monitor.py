@@ -16,9 +16,13 @@ composes three existing layers instead of inventing new machinery:
   *without extending its DP frontier at all* — its appended points stay
   buffered in the :class:`~repro.engine.streaming.StreamingEngine` until some
   later tick actually needs them;
-* survivors refine in ascending-bound order through
-  :meth:`~repro.engine.streaming.StreamingEngine.value` with the running kth
-  distance as the abandon threshold (τ-abandoning on the *time* axis), so the
+* survivors refine in ascending-bound order, in rounds, through
+  :meth:`~repro.engine.streaming.StreamingEngine.values` (one stacked sweep
+  over every frontier a round advances): while the heap holds fewer than
+  ``k`` the next ``k − len(heap)`` candidates fill it, then every remaining
+  candidate whose bound is ``<=`` the kth distance τ refines in one call, and
+  refinement stops at the first bound past τ.  τ only shrinks, so every
+  candidate with a bound ``<=`` the final τ is evaluated exactly and the
   maintained top-k is exact — same filter-and-refine contract as
   :func:`~repro.search.knn_search`, ordered by ``(distance, id)``.
 
@@ -189,6 +193,9 @@ class StreamMonitor:
             if points.ndim != 2 or points.shape[1] != width:
                 raise ValueError(f"stream {stream_id} takes (n, {width}) points, "
                                  f"got shape {points.shape}")
+            if not np.isfinite(points).all():
+                raise ValueError(f"points appended to stream {stream_id} "
+                                 f"contain non-finite coordinates")
             checked[stream_id] = points
         return checked
 
@@ -250,28 +257,34 @@ class StreamMonitor:
             elif item > heap[0]:
                 heapq.heapreplace(heap, item)
         bounds = self._bounds(stale)
-        refined = skipped = 0
-        for position in np.argsort(bounds, kind="stable"):
-            stream_id = stale[int(position)]
-            tau = -heap[0][0] if len(heap) == self.k else np.inf
-            if len(heap) == self.k and bounds[position] > tau:
-                # Bounds ascend from here on: every remaining stale candidate
-                # is provably outside the top-k; none extends its frontier.
-                skipped = len(stale) - refined
-                break
-            pair_id = self._pair_for(stream_id)
-            threshold = tau if np.isfinite(tau) else None
-            distance = self.engine.value(pair_id, threshold=threshold)
-            refined += 1
-            if not np.isfinite(distance):
-                continue  # τ-abandoned: provably outside the top-k
-            item = (-distance, -stream_id)
+        order = np.argsort(bounds, kind="stable")
+        ranked = [stale[int(position)] for position in order]
+        bounds = bounds[order]
+        refined = 0
+        while refined < len(ranked):
             if len(heap) < self.k:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
+                # Fill round: the next candidates in bound order, just enough
+                # to fill the heap (τ is still +inf).
+                stop = refined + self.k - len(heap)
+            else:
+                # Every remaining candidate whose bound admits it under the
+                # current kth distance, in one call; the rest ascend past τ
+                # (which only shrinks), so they never extend their frontiers.
+                stop = int(np.searchsorted(bounds, -heap[0][0], side="right"))
+                if stop <= refined:
+                    break
+            batch = ranked[refined:stop]
+            distances = self.engine.values([self._pair_for(stream_id)
+                                            for stream_id in batch])
+            refined += len(batch)
+            for stream_id, distance in zip(batch, distances.tolist()):
+                item = (-distance, -stream_id)
+                if len(heap) < self.k:
+                    heapq.heappush(heap, item)
+                elif item > heap[0]:
+                    heapq.heapreplace(heap, item)
         counter("monitor.refined").add(refined)
-        counter("monitor.skipped_bound").add(skipped)
+        counter("monitor.skipped_bound").add(len(stale) - refined)
         return {-negative_id: -negative_distance
                 for negative_distance, negative_id in heap}
 

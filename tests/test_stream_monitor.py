@@ -143,6 +143,8 @@ def test_monitor_rejects_emptying_evict_and_bad_k():
     {"evicts": {99: 1}},                        # unknown stream
     {"appends": {99: [[0.5, 0.5]]}},            # unknown stream
     {"appends": {1: np.zeros((2, 3))}},         # wrong point width
+    {"appends": {1: [[np.nan, 0.5]]}},          # non-finite coordinate
+    {"appends": {1: [[0.5, 0.5], [np.inf, 0.5]]}},
 ])
 def test_rejected_tick_applies_nothing(bad):
     rng = np.random.default_rng(11)
@@ -166,6 +168,35 @@ def test_rejected_tick_applies_nothing(bad):
     got = [(distance, trajectory_id) for trajectory_id, distance in monitor.topk()]
     assert got == expected
     assert got[0] == (0.0, 3)
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_monitor_fill_round_from_empty_heap(k, monkeypatch):
+    """The first tick has no fresh pair, so refinement starts from an empty
+    heap: one fill round of exactly ``k`` candidates (or all of them), then
+    one round for every candidate the kth distance still admits."""
+    rng = np.random.default_rng(21)
+    windows = _walks(rng, 12, 9, origin_scale=0.4)
+    pattern = np.cumsum(rng.normal(scale=0.05, size=(7, 2)), axis=0)
+    monitor = StreamMonitor([w.copy() for w in windows], pattern, REGION,
+                            measure="edr", k=k, epsilon=0.3)
+    rounds = []
+    values = monitor.engine.values
+
+    def recording(pair_ids):
+        rounds.append(len(pair_ids))
+        return values(pair_ids)
+
+    monkeypatch.setattr(monitor.engine, "values", recording)
+    before = snapshot()["counters"].get("monitor.refined", 0)
+    monitor.tick()
+    refined = snapshot()["counters"].get("monitor.refined", 0) - before
+    candidates = len(monitor.index.range_query(REGION))
+    assert rounds[0] == min(k, candidates)
+    assert len(rounds) <= 2 and sum(rounds) == refined
+    expected = _brute_topk(windows, pattern, REGION, "edr", k, epsilon=0.3)
+    got = [(distance, trajectory_id) for trajectory_id, distance in monitor.topk()]
+    assert got == expected
 
 
 def test_monitor_accepts_shared_engine_with_checkpoints():

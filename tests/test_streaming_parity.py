@@ -17,7 +17,12 @@ code paths) and pins the subsystem's contracts:
 * dp-cell accounting: on append-only streams, the cells an extension charges
   (``stream.dp_cells``) never exceed what recomputing the same window from
   scratch costs, and a growing stream's cumulative streaming cells come in
-  strictly below cumulative recompute cells.
+  strictly below cumulative recompute cells;
+* the stacked path :meth:`StreamingEngine.values` over many streams with
+  mixed deltas (full-window replays next to one-point appends) is bitwise
+  equal to the batch kernel, interleaves with :meth:`~StreamingEngine.value`
+  in either order, charges exactly ``n·Δ`` cells per advanced frontier, and
+  keeps its sweeps to a bounded set of widths and a capped cell count.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import StreamingEngine, get_batch_kernel
+from repro.engine import StreamingEngine, get_batch_kernel, kernels, streaming
 from repro.engine.backends import NumbaBackend, NumpyBackend
 from repro.obs import snapshot
 
@@ -215,3 +220,251 @@ def test_checkpoint_promotion_saves_replay():
     assert engine.replays == replays_before
     expected = _reference("dtw", pattern, feed[4:20], {})
     assert value == expected
+
+
+# ------------------------------------------------------------ stacked values()
+
+#: Multi-stream schedules: per step, each of the streams appends a small or a
+#: large burst, evicts (forcing a replay or a checkpoint adoption) or idles.
+MULTI_OPS = st.lists(
+    st.lists(st.tuples(st.sampled_from(["append", "burst", "evict", "idle"]),
+                       st.integers(min_value=1, max_value=4)),
+             min_size=4, max_size=4),
+    min_size=1, max_size=6)
+
+
+class _Fleet:
+    """Several streams watched by one pattern, driven through one engine."""
+
+    def __init__(self, measure, kwargs, dim, seed, checkpoint_every=4,
+                 streams=4, backend=NumpyBackend):
+        self.measure = measure
+        self.kwargs = kwargs
+        self.engine = StreamingEngine(backend=backend(),
+                                      checkpoint_every=checkpoint_every)
+        self.pattern = _make_points(seed, 7, dim)
+        self.feeds = [_make_points(seed + 1 + s, 80, dim) for s in range(streams)]
+        self.starts = [0] * streams
+        self.cursors = [1 + s for s in range(streams)]
+        self.pairs = []
+        for s in range(streams):
+            self.engine.register_stream(s, points=self.feeds[s][:self.cursors[s]])
+            self.pairs.append(self.engine.watch(self.pattern, s, measure,
+                                                **kwargs))
+
+    def window(self, s) -> np.ndarray:
+        return self.feeds[s][self.starts[s]:self.cursors[s]]
+
+    def apply(self, s, op, size) -> None:
+        if op in ("append", "burst"):
+            size = min(size * (6 if op == "burst" else 1),
+                       len(self.feeds[s]) - self.cursors[s])
+            if size > 0:
+                self.engine.append(s, self.feeds[s][self.cursors[s]:
+                                                    self.cursors[s] + size],
+                                   lazy=True)
+                self.cursors[s] += size
+        elif op == "evict":
+            size = min(size, self.cursors[s] - self.starts[s] - 1)
+            if size > 0:
+                self.engine.evict(s, size)
+                self.starts[s] += size
+
+    def expected(self, s) -> float:
+        return _reference(self.measure, self.pattern, self.window(s), self.kwargs)
+
+
+@pytest.mark.parametrize("config_id,measure,kwargs,dim",
+                         CONFIGS, ids=[c[0] for c in CONFIGS])
+@SETTINGS
+@given(seed=SEEDS, steps=MULTI_OPS, paths=st.lists(st.booleans(), min_size=6,
+                                                   max_size=6))
+def test_values_matches_batch_bitwise(config_id, measure, kwargs, dim, seed,
+                                      steps, paths):
+    fleet = _Fleet(measure, kwargs, dim, seed)
+    twin = _Fleet(measure, kwargs, dim, seed)  # driven by value() alone
+    everyone = list(range(len(fleet.pairs)))
+    for step, stacked in zip(steps, paths):
+        for s, (op, size) in enumerate(step):
+            fleet.apply(s, op, size)
+            twin.apply(s, op, size)
+        # Alternate the stacked and the scalar path on the same frontiers, so
+        # each continues bitwise from the state the other left behind.
+        if stacked:
+            got = fleet.engine.values([fleet.pairs[s] for s in everyone])
+        else:
+            got = [fleet.engine.value(fleet.pairs[s]) for s in everyone]
+        for s, value in zip(everyone, got):
+            assert value == fleet.expected(s)  # bitwise, not approx
+            assert twin.engine.value(twin.pairs[s]) == value
+        # Whole frontiers (borders included) and checkpoints match the
+        # scalar path, not just the value cell.
+        for pair_id, twin_id in zip(fleet.pairs, twin.pairs):
+            assert _frontiers(fleet.engine, pair_id) == _frontiers(twin.engine,
+                                                                  twin_id)
+    # An abandoned scalar frontier resumes bitwise under the stacked path.
+    tau = 0.5 * fleet.expected(0)
+    fleet.apply(0, "burst", 2)
+    fleet.engine.value(fleet.pairs[0], threshold=tau)
+    assert fleet.engine.values(fleet.pairs[:1])[0] == fleet.expected(0)
+
+
+def _frontiers(engine: StreamingEngine, pair_id) -> dict:
+    """``{anchor: (done, column bytes)}`` of a pair's primary and checkpoints."""
+    pair = engine._pairs[pair_id]
+    frontiers = [pair.primary, *pair.checkpoints.values()]
+    return {(frontier is pair.primary, frontier.start):
+            (frontier.done, frontier.column.tobytes()) for frontier in frontiers}
+
+
+def _pending_columns(fleet: _Fleet, s: int) -> int:
+    """Columns ``values()`` must advance for stream ``s``'s pair (no checkpoints)."""
+    engine = fleet.engine
+    pair = engine._pairs[fleet.pairs[s]]
+    pending = engine.pending(fleet.pairs[s])
+    if pair.band is not None and pair.primary is not None \
+            and pair.primary.done > pair.primary.start:
+        m = len(fleet.window(s))
+        radius = max(pair.band, abs(len(fleet.pattern) - m))
+        if radius != pair.primary.radius:
+            return m  # the band geometry moved: the whole window replays
+    return pending
+
+
+@pytest.mark.parametrize("config_id,measure,kwargs,dim",
+                         CONFIGS, ids=[c[0] for c in CONFIGS])
+@SETTINGS
+@given(seed=SEEDS, steps=MULTI_OPS)
+def test_values_charges_n_times_delta(config_id, measure, kwargs, dim, seed,
+                                      steps):
+    fleet = _Fleet(measure, kwargs, dim, seed, checkpoint_every=0)
+    n = len(fleet.pattern)
+    for step in steps:
+        for s, (op, size) in enumerate(step):
+            fleet.apply(s, op, size)
+        expected = n * sum(_pending_columns(fleet, s)
+                           for s in range(len(fleet.pairs)))
+        recompute = n * sum(len(fleet.window(s)) for s in range(len(fleet.pairs)))
+        before = _stream_cells()
+        fleet.engine.values(fleet.pairs)
+        charged = _stream_cells() - before
+        assert charged == expected
+        assert charged <= recompute
+
+
+def test_values_on_compiled_backend_loops_over_value(monkeypatch):
+    fleet = _Fleet("edr", {"epsilon": 0.3}, 2, seed=5, backend=NumbaBackend)
+    for s in range(len(fleet.pairs)):
+        fleet.apply(s, "burst", 2)
+    calls = []
+    value = fleet.engine.value
+    monkeypatch.setattr(fleet.engine, "value",
+                        lambda pair_id: calls.append(pair_id) or value(pair_id))
+    got = fleet.engine.values(fleet.pairs)
+    assert calls == fleet.pairs
+    assert got.tolist() == [fleet.expected(s) for s in range(len(fleet.pairs))]
+
+
+def test_values_keeps_input_order_and_duplicates():
+    fleet = _Fleet("dtw", {}, 2, seed=8)
+    for s in range(len(fleet.pairs)):
+        fleet.apply(s, "burst", 1)
+    order = [3, 0, 3, 1]
+    got = fleet.engine.values([fleet.pairs[s] for s in order])
+    assert got.tolist() == [fleet.expected(s) for s in order]
+
+
+def test_plan_blocks_bounds_widths_and_cells():
+    n = 32
+    limit = streaming._segment_limit(n)
+    deltas = [1, 2, 2, 3, 5, 31, 32, 33, 64, 65, 200, 260, 300, 301, limit] * 9
+    blocks = streaming._plan_blocks(deltas, n)
+    seen = sorted(row for _, rows in blocks for row in rows)
+    assert seen == list(range(len(deltas)))  # every row exactly once
+    for width, rows in blocks:
+        assert width <= 32 or width % 32 == 0
+        assert len(rows) * n * width <= streaming._BLOCK_CELLS
+        for row in rows:
+            assert deltas[row] <= width
+            # No row runs a sweep more than twice as long as its own.
+            assert n + width <= 2 * (n + deltas[row])
+
+
+def test_stacked_sweep_memory_gate(monkeypatch):
+    """Many streams of assorted lengths reach the sweep in a bounded set of
+    widths, and no sweep exceeds the cell budget."""
+    shapes = []
+    sweep_table = kernels._sweep_table
+
+    def recording(mode, table, data, *args):
+        shapes.append(data.shape)
+        return sweep_table(mode, table, data, *args)
+
+    monkeypatch.setattr(kernels, "_sweep_table", recording)
+    rng = np.random.default_rng(0)
+    pattern = _make_points(1, 32, 2)
+    engine = StreamingEngine(backend=NumpyBackend(), checkpoint_every=64)
+    pairs = []
+    for s in range(60):
+        engine.register_stream(s, points=_make_points(100 + s,
+                                                      int(rng.integers(1, 700)), 2))
+        pairs.append(engine.watch(pattern, s, "edr", epsilon=0.25))
+    for _ in range(5):
+        for s in range(60):
+            engine.append(s, _make_points(200 + s, int(rng.integers(1, 5)), 2),
+                          lazy=True)
+            if rng.random() < 0.5 and engine.window_length(s) > 3:
+                engine.evict(s, int(rng.integers(1, 3)))  # unaligned: replays
+        engine.values(pairs)
+    widths = {width for _, _, width in shapes}
+    assert all(width <= 32 or width % 32 == 0 for width in widths)
+    assert len(widths) <= 32 + 704 // 32
+    assert max(batch * n * width for batch, n, width in shapes) \
+        <= streaming._BLOCK_CELLS
+
+
+def test_long_advance_splits_into_segments(monkeypatch):
+    """A row longer than the per-sweep column budget advances in several
+    sweeps and still lands bitwise on the batch kernel."""
+    # A 7-point pattern under a 280-cell budget advances at most 32 columns
+    # per row and sweep.
+    monkeypatch.setattr(streaming, "_BLOCK_CELLS", 7 * 40)
+    assert streaming._segment_limit(7) == 32
+    shapes = []
+    sweep_table = kernels._sweep_table
+
+    def recording(mode, table, data, *args):
+        shapes.append(data.shape)
+        return sweep_table(mode, table, data, *args)
+
+    monkeypatch.setattr(kernels, "_sweep_table", recording)
+    fleet = _Fleet("erp", {"gap": (0.25, -0.5)}, 2, seed=3)
+    fleet.apply(0, "append", 1)
+    fleet.engine.values(fleet.pairs[:1])
+    shapes.clear()
+    fleet.apply(0, "burst", 4)      # a 24-column extend next to …
+    fleet.apply(1, "burst", 4)
+    fleet.apply(1, "burst", 4)      # … a 50-column first build
+    got = fleet.engine.values(fleet.pairs[:2])
+    # 50 columns run as 32 + 18; the 24-column row rides in a sweep of its own.
+    assert sorted(width for _, _, width in shapes) == [18, 24, 32]
+    assert max(batch * n * width for batch, n, width in shapes) <= 7 * 40
+    assert got.tolist() == [fleet.expected(0), fleet.expected(1)]
+
+
+@pytest.mark.parametrize("call", [
+    lambda engine: engine.append("s", [[np.nan, 0.5]]),
+    lambda engine: engine.append("s", [[0.5, np.inf]], lazy=True),
+    lambda engine: engine.register_stream("t", points=[[0.0, 0.0], [np.nan, 1.0]]),
+    lambda engine: engine.watch([[0.0, 0.0], [np.inf, 1.0]], "s"),
+])
+def test_non_finite_input_is_rejected(call):
+    engine = StreamingEngine(backend=NumpyBackend())
+    engine.register_stream("s", points=[[0.0, 0.0], [0.1, 0.1]])
+    pair = engine.watch([[0.0, 0.0], [0.1, 0.0]], "s")
+    with pytest.raises(ValueError, match="non-finite"):
+        call(engine)
+    assert engine.streams() == ["s"]
+    assert engine.window_length("s") == 2
+    assert engine.value(pair) == _reference("dtw", np.array([[0.0, 0.0], [0.1, 0.0]]),
+                                            engine.window("s"), {})
