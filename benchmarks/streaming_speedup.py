@@ -9,8 +9,11 @@ The benchmark replays one generated city workload
 (:func:`repro.data.generate_stream_workload`) through two paths, interleaved
 tick by tick so machine drift cancels:
 
-* **incremental** — non-lazy ``engine.append`` per updated stream: each tick
-  costs one ``n × Δ`` frontier extension per changed pair;
+* **incremental** — each tick runs the way :class:`repro.search.
+  StreamMonitor` drives the engine: lazy ``engine.append`` and ``evict`` per
+  updated stream, then one ``engine.values`` call over the changed pairs,
+  which advances them in stacked sweeps (one ``n × Δ`` frontier extension
+  per changed pair, plus replays after unaligned evicts);
 * **recompute** — the *vectorized batch kernel* over the same changed
   windows, one batched from-scratch sweep per tick (``n × m`` cells per
   pair).  This is the strongest honest baseline: a stateless from-scratch
@@ -79,8 +82,7 @@ def run_workload(args) -> dict:
     for stream_id, window in enumerate(workload.initial):
         engine.register_stream(stream_id, points=window)
         pair_ids.append(engine.watch(pattern, stream_id, args.measure, **kwargs))
-    for pair_id in pair_ids:
-        engine.value(pair_id)
+    engine.values(pair_ids)
 
     # Recompute path: plain windows, re-swept from scratch on every change.
     windows = [window.copy() for window in workload.initial]
@@ -98,14 +100,11 @@ def run_workload(args) -> dict:
         changed = sorted(set(tick.appends) | set(tick.evicts))
 
         start = time.perf_counter()
-        incremental_values = {}
         for stream_id, points in tick.appends.items():
-            incremental_values.update(engine.append(stream_id, points))
+            engine.append(stream_id, points, lazy=True)
         for stream_id, count in tick.evicts.items():
             engine.evict(stream_id, count)
-        for stream_id in tick.evicts:
-            incremental_values[pair_ids[stream_id]] = engine.value(
-                pair_ids[stream_id])
+        incremental = engine.values([pair_ids[s] for s in changed])
         incremental_seconds += time.perf_counter() - start
 
         for stream_id, points in tick.appends.items():
@@ -118,9 +117,7 @@ def run_workload(args) -> dict:
         recompute_seconds += time.perf_counter() - start
 
         updated_pairs += len(changed)
-        for position, stream_id in enumerate(changed):
-            if incremental_values[pair_ids[stream_id]] != recomputed[position]:
-                mismatches += 1
+        mismatches += int(np.count_nonzero(incremental != recomputed))
 
     after = _counters()
     stream_cells = after.get("stream.dp_cells", 0) - stream_cells_0

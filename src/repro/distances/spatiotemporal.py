@@ -19,11 +19,14 @@ paper's spatio-temporal violation analysis.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import as_points, register_distance
 
-__all__ = ["tp_distance", "dita_distance", "spatiotemporal_point_cost"]
+__all__ = ["tp_distance", "dita_distance", "spatiotemporal_point_cost",
+           "check_spatiotemporal_args"]
 
 
 def _require_time(points: np.ndarray, name: str) -> None:
@@ -31,10 +34,20 @@ def _require_time(points: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} requires trajectories with a time column (lon, lat, t)")
 
 
+def check_spatiotemporal_args(lambda_spatial: float, time_scale: float) -> None:
+    """Reject blend weights outside [0, 1] and non-finite or non-positive time
+    scales, which would make the blended cost negative, ``nan`` or ``inf``."""
+    if not 0.0 <= lambda_spatial <= 1.0:
+        raise ValueError(f"lambda_spatial must lie in [0, 1], got {lambda_spatial!r}")
+    if not (math.isfinite(time_scale) and time_scale > 0.0):
+        raise ValueError(f"time_scale must be finite and positive, got {time_scale!r}")
+
+
 def spatiotemporal_point_cost(a: np.ndarray, b: np.ndarray,
                               lambda_spatial: float = 0.5,
                               time_scale: float = 1.0) -> np.ndarray:
     """Blend of spatial and temporal point distances between two point arrays."""
+    check_spatiotemporal_args(lambda_spatial, time_scale)
     spatial = np.sqrt(((a[:, None, :2] - b[None, :, :2]) ** 2).sum(axis=-1))
     temporal = np.abs(a[:, None, 2] - b[None, :, 2]) / time_scale
     return lambda_spatial * spatial + (1.0 - lambda_spatial) * temporal
@@ -44,8 +57,6 @@ def spatiotemporal_point_cost(a: np.ndarray, b: np.ndarray,
 def tp_distance(trajectory_a, trajectory_b, lambda_spatial: float = 0.5,
                 time_scale: float = 1.0) -> float:
     """TP spatio-temporal distance (symmetric mean closest-pair blend)."""
-    if not 0.0 <= lambda_spatial <= 1.0:
-        raise ValueError("lambda_spatial must lie in [0, 1]")
     a = as_points(trajectory_a, spatial_only=False)
     b = as_points(trajectory_b, spatial_only=False)
     _require_time(a, "tp_distance")

@@ -89,17 +89,14 @@ class KernelBackend:
         return False
 
     def stream_kernel(self, measure: str) -> Callable | None:
-        """Prefix-incremental frontier extension for ``measure``, or None.
+        """Per-pair prefix-incremental frontier extend for ``measure``, or None.
 
-        Keys follow :data:`repro.engine.stream_kernels.STREAM_KERNELS`
-        (``"dtw_banded"`` selects the band-restricted DTW extension).  A
-        backend returning None makes :class:`~repro.engine.streaming.
-        StreamingEngine` fall back to the reference loops, so partial
-        coverage degrades to correct-but-slower, never to wrong.  These
-        per-pair loops serve ``StreamingEngine.value``; on a non-compiled
-        backend ``StreamingEngine.values`` advances many frontiers through
-        the batch kernels' stacked sweep instead, and on a compiled one it
-        calls ``value`` per pair.
+        Compiled backends only.  Keys follow the numba backend's
+        ``STREAM_KERNELS`` (``"dtw_banded"`` selects the band-restricted DTW
+        extend).  ``StreamingEngine.values`` advances a frontier through the
+        returned loop; on None it runs the frontier through the stacked
+        anti-diagonal sweep of the batch kernels' recurrence instead, which
+        is what the numpy backend does.
         """
         return None
 
@@ -128,11 +125,6 @@ class NumpyBackend(KernelBackend):
         # threshold support; measures with only a reference function are not.
         return (get_batch_kernel(measure) is not None
                 and get_kernel(measure) is not None)
-
-    def stream_kernel(self, measure: str) -> Callable | None:
-        from ..stream_kernels import STREAM_KERNELS
-
-        return STREAM_KERNELS.get(measure.lower())
 
 
 class NumbaBackend(KernelBackend):

@@ -71,6 +71,7 @@ except ImportError:
 
         return decorator
 
+from ...distances.spatiotemporal import check_spatiotemporal_args
 from ..kernels import (
     _abandon_cutoff,
     _as_thresholds,
@@ -914,6 +915,7 @@ def dita_batch(trajectories_a: Sequence, trajectories_b: Sequence,
                lambda_spatial: float = 0.5, time_scale: float = 1.0,
                thresholds=None) -> np.ndarray:
     """Compiled DITA (DTW recurrence over blended spatio-temporal costs)."""
+    check_spatiotemporal_args(lambda_spatial, time_scale)
     _check_batch(trajectories_a, trajectories_b)
     cutoffs = _cutoffs(thresholds, len(trajectories_a))
     arrays_a = [_contiguous(a) for a in
@@ -964,8 +966,7 @@ def tp_batch(trajectories_a: Sequence, trajectories_b: Sequence,
              lambda_spatial: float = 0.5, time_scale: float = 1.0,
              thresholds=None) -> np.ndarray:
     """Compiled TP.  ``thresholds`` accepted but unused (mean-based measure)."""
-    if not 0.0 <= lambda_spatial <= 1.0:
-        raise ValueError("lambda_spatial must lie in [0, 1]")
+    check_spatiotemporal_args(lambda_spatial, time_scale)
     _check_batch(trajectories_a, trajectories_b)
     _as_thresholds(thresholds, len(trajectories_a))  # validate shape only
     arrays_a = [_contiguous(a) for a in
@@ -1063,13 +1064,14 @@ THRESHOLD_MEASURES = frozenset({
 
 # --------------------------------------------------- streaming frontier extends
 #
-# Prefix-incremental twins of :mod:`repro.engine.stream_kernels`: extend a
-# pair's DP frontier ``column`` in place by the columns of ``b_new``, using the
-# rolling-diagonal trick.  Cell-for-cell the same IEEE arithmetic and operand
-# order as both the reference loops and the batch kernels, so a frontier
-# extended here is bitwise identical to a from-scratch kernel call on the
-# extended window.  Each returns the number of DP cells computed; the
-# StreamingEngine folds the counts into the ``stream.*`` registry counters.
+# Prefix-incremental extends: each extends a pair's DP frontier ``column``
+# in place by the columns of ``b_new``, using the rolling-diagonal trick.
+# Cell-for-cell the same IEEE arithmetic and operand order as the batch
+# kernels, so a frontier extended here is bitwise identical to a from-scratch
+# batch-kernel call on the extended window (the streaming parity suite checks
+# it against the batch kernels and the numpy stacked sweep).  Each returns
+# the number of DP cells computed; the StreamingEngine folds the counts into
+# the ``stream.*`` registry counters.
 
 @njit(cache=True)
 def _stream_dtw(a, b_new, column):
@@ -1242,7 +1244,7 @@ def _stream_dita(a, b_new, column, lambda_spatial, time_scale):
 
 
 #: Streaming frontier extensions by kernel key — the numba backend's
-#: ``stream_kernel`` table (same keys as the reference map).
+#: ``stream_kernel`` table (``dtw_banded`` is the band-restricted DTW extend).
 STREAM_KERNELS = {
     "dtw": _stream_dtw,
     "dtw_banded": _stream_dtw_banded,

@@ -2,12 +2,12 @@
 
 :class:`StreamingEngine` keeps, for every watched (pattern, stream, measure)
 pair, the pair's **DP frontier** — the last column of the measure's dynamic-
-programming table (:mod:`repro.engine.stream_kernels`).  Appending ``p``
-points to a stream then extends each of its pairs by exactly ``p`` columns
-(``O(n·p)`` cells) instead of recomputing the full ``O(n·m)`` table, and the
-extended frontier is *bitwise identical* to a from-scratch batch-kernel call
-on the whole window — the property ``tests/test_streaming_parity.py`` pins
-for every measure, backend, and append/evict schedule.
+programming table.  Appending ``p`` points to a stream then extends each of
+its pairs by exactly ``p`` columns (``O(n·p)`` cells) instead of recomputing
+the full ``O(n·m)`` table, and the extended frontier is *bitwise identical*
+to a from-scratch batch-kernel call on the whole window — the property
+``tests/test_streaming_parity.py`` pins for every measure, backend, and
+append/evict schedule.
 
 **Windows and checkpoints.**  Evicting the window head invalidates a prefix
 DP: the table's column 0 is anchored at the window start, so a frontier whose
@@ -17,7 +17,7 @@ auxiliary columns anchored at stream offsets divisible by ``K``
 (``REPRO_STREAM_CHECKPOINT``, default 64; ``<= 0`` disables).  An evict whose
 new head lands exactly on a checkpoint *adopts* that frontier with zero
 replayed columns; an unaligned evict falls back to a full-window replay (run
-lazily, on the next ``value()``), re-seeding checkpoints as it crosses
+lazily, on the next ``values()``), re-seeding checkpoints as it crosses
 ``K``-multiples.  Keeping a checkpoint live costs ``n`` extra cells per
 appended column per checkpoint — ``window/K`` checkpoints ≈ one extra
 frontier's work per ``K`` of window — so ``K`` trades append overhead against
@@ -28,41 +28,31 @@ Banded DTW pairs skip checkpoints entirely: the effective band radius
 an append that widens the radius) replays anyway.
 
 **Laziness and bounds.**  ``append(..., lazy=True)`` only buffers the points;
-frontiers extend when ``value()`` forces them.  ``lower_bound()`` reads an
+frontiers extend when ``values()`` forces them.  ``lower_bound()`` reads an
 admissible bound off the current frontier *without* extending — sound for
 every future window length — which is how :class:`repro.search.monitor.
 StreamMonitor` skips extension work for candidates the current kth distance
-already excludes.  ``value(pair, threshold=τ)`` extends column by column and
-abandons (returns ``+inf``, frontier kept at the abandon point) once the
-frontier bound strictly exceeds ``τ`` plus the same fp safety slack the batch
-kernels use, mirroring their abandoning contract: finite values are exact and
-bitwise, ``+inf`` only when the distance provably exceeds ``τ``.
+already excludes.
 
-**Two extension paths.**  ``value(pair)`` extends one pair through the
-per-pair loops from the kernel-backend registry
-(:meth:`~repro.engine.backends.KernelBackend.stream_kernel`): the numpy
-backend runs the reference scalar loops, the numba backend the ``@njit``
-twins.  ``values(pairs)`` serves many pairs at once: on the numpy backend it
-collects every frontier they need advanced — primaries, full-window replays
-and the checkpoints those seed — and runs them as stacked anti-diagonal
-sweeps of the batch kernels' own recurrence (:data:`repro.engine.kernels.
-_STEPS`), with each frontier as column 0 of its table.  Sweeps are grouped by
-(measure, pattern, measure arguments), sorted by delta into blocks of
-similar width (widths above 32 rounded up to a multiple of 32) and capped
-at about ``2**18`` cells, so the ``_diagonal_slices`` cache sees a bounded
-set of shapes.  Both paths leave the same state and the same bits; the
-scalar loops stay because one pair's short extend costs ~26 µs there
-against ~220 µs for a sweep's per-diagonal numpy calls (EDR, 2 columns,
-n=32, 2-core x86 box).
-Compiled backends serve ``values()`` through ``value()``.
+**One advance path.**  ``values(pairs)`` is the only entry point that
+advances frontiers; ``value``, non-lazy ``append`` and ``force`` call it.  It
+collects every frontier the pairs need advanced — primaries, full-window
+replays and the checkpoints those seed — and on the numpy backend runs them
+as stacked anti-diagonal sweeps of the batch kernels' own recurrence
+(:data:`repro.engine.kernels._STEPS`), with each frontier as column 0 of its
+table.  Sweeps are grouped by (measure, pattern, measure arguments), sorted
+by delta into blocks of similar width (widths above 32 rounded up to a
+multiple of 32) and capped at about ``2**18`` cells, so the
+``_diagonal_slices`` cache sees a bounded set of shapes.  A compiled backend
+advances each frontier through its per-pair loops instead
+(:meth:`~repro.engine.backends.KernelBackend.stream_kernel`).
 
-Cell and abandon counts flow into the :mod:`repro.obs` registry under
-``stream.*`` (``stream.dp_cells``, ``stream.dp_cells.<measure>``,
-``stream.abandoned.<measure>``, ``stream.replays``, …), next to the batch
-kernels' ``engine.*`` counters.  Non-finite coordinates are rejected on the
-way in (``register_stream`` / ``append`` / ``watch`` raise ``ValueError``
-naming the stream): the loops' ``<`` comparisons and the sweeps'
-``np.minimum`` would treat NaN differently.
+Cell counts flow into the :mod:`repro.obs` registry under ``stream.*``
+(``stream.dp_cells``, ``stream.dp_cells.<measure>``, ``stream.replays``, …),
+next to the batch kernels' ``engine.*`` counters.  Non-finite coordinates
+are rejected on the way in (``register_stream`` / ``append`` / ``watch``
+raise ``ValueError`` naming the stream): the compiled loops' ``<``
+comparisons and the sweeps' ``np.minimum`` would treat NaN differently.
 """
 
 from __future__ import annotations
@@ -74,22 +64,21 @@ import numpy as np
 
 from ..config import env_int
 from ..distances.base import as_points
-from ..distances.spatiotemporal import spatiotemporal_point_cost
+from ..distances.spatiotemporal import (
+    check_spatiotemporal_args,
+    spatiotemporal_point_cost,
+)
 from ..obs import registry as obs_registry
 from . import kernels
 from .backends import resolve_backend
-from .stream_kernels import (
-    STREAM_KERNELS,
-    STREAM_MEASURES,
-    frontier_bound,
-    frontier_value,
-    initial_column,
-)
 
 __all__ = ["StreamingEngine", "CHECKPOINT_ENV", "DEFAULT_CHECKPOINT", "STREAM_MEASURES"]
 
 CHECKPOINT_ENV = "REPRO_STREAM_CHECKPOINT"
 DEFAULT_CHECKPOINT = 64
+
+#: Measures with a prefix-incremental extension (banded DTW rides on "dtw").
+STREAM_MEASURES = ("dtw", "erp", "edr", "lcss", "frechet", "dita")
 
 _INF = np.inf
 
@@ -101,14 +90,69 @@ def _measure_cell_counter(measure: str):
     return obs_registry.counter(f"stream.dp_cells.{measure}")
 
 
-@lru_cache(maxsize=None)
-def _measure_abandon_counter(measure: str):
-    return obs_registry.counter(f"stream.abandoned.{measure}")
-
-
 def _count_stream_cells(cells: int, measure: str) -> None:
     _STREAM_CELLS.add(cells)
     _measure_cell_counter(measure).add(cells)
+
+
+def _initial_column(measure: str, n: int,
+                    gap_cost_a: np.ndarray | None) -> np.ndarray:
+    """Column 0 of the measure's ``(n+1, m+1)`` DP table (the empty-window frontier)."""
+    if measure in ("dtw", "frechet", "dita"):
+        column = np.full(n + 1, _INF)
+        column[0] = 0.0
+    elif measure == "erp":
+        column = np.empty(n + 1)
+        column[0] = 0.0
+        column[1:] = np.cumsum(gap_cost_a)
+    elif measure == "edr":
+        column = np.arange(n + 1, dtype=np.float64)
+    else:  # lcss
+        column = np.zeros(n + 1)
+    return column
+
+
+def _frontier_value(measure: str, column: np.ndarray, n: int, m: int) -> float:
+    """Distance encoded by a fully extended frontier (``m`` = window length).
+
+    ``column[n]`` is ``table[n, m]`` for every measure; LCSS additionally
+    converts its common-length count with exactly the batch kernel's
+    ``1 − common/min(n, m)`` division (both operands are exact integers in
+    float64, so int64 vs float division is bitwise moot).  An empty window
+    reports the DP border value — ``+inf`` for DTW/Fréchet/DITA (no
+    alignment exists), the all-gap cost for ERP, ``n`` deletes for EDR —
+    except LCSS, where ``0/0`` is undefined and ``+inf`` is reported.
+    """
+    if measure == "lcss":
+        if m == 0:
+            return _INF
+        return 1.0 - float(column[n]) / min(n, m)
+    return float(column[n])
+
+
+def _frontier_bound(measure: str, column: np.ndarray, n: int, m: int,
+                    final_m: int) -> float:
+    """Admissible lower bound on the pair's distance at window length ``final_m``.
+
+    Every monotone path through the final table crosses column ``m``, and the
+    accumulated value is non-decreasing along paths for the min-plus
+    (DTW/ERP/DITA), min-max (Fréchet) and edit-count (EDR) measures, so the
+    minimum over the current column bounds the final value from below.  LCSS
+    counts *matches* (a maximisation), so the bound caps the final common
+    length by ``max(column) + remaining columns`` (and by both lengths) before
+    converting to a distance.  Bounds hold for every ``final_m ≥ m`` —
+    columns only ever grow the window — which is what lets the monitor skip
+    extensions entirely.
+    """
+    if measure == "lcss":
+        if final_m == 0:
+            return _INF
+        cap = float(column.max()) + (final_m - m)
+        shorter = min(n, final_m)
+        if cap > shorter:
+            cap = float(shorter)
+        return 1.0 - cap / shorter
+    return float(column.min())
 
 
 def _checked_points(points, what: str) -> np.ndarray:
@@ -303,7 +347,7 @@ class StreamingEngine:
         """Track ``measure(pattern, stream)``; returns the pair id.
 
         The frontier over the stream's existing window is built lazily by the
-        first ``value()`` call, so watching a pattern against a fleet costs
+        first ``values()`` call, so watching a pattern against a fleet costs
         nothing for streams that are never refined.
         """
         measure = measure.lower()
@@ -328,7 +372,13 @@ class StreamingEngine:
         elif measure == "erp":
             kernel_key = "erp"
             gap_point = np.zeros(2) if gap is None else \
-                np.asarray(gap, dtype=np.float64)[:2]
+                np.asarray(gap, dtype=np.float64)
+            if gap_point.ndim != 1 or gap_point.size < 2 \
+                    or not np.isfinite(gap_point).all():
+                raise ValueError(f"ERP gap of a pair on stream {stream_id!r} "
+                                 f"must have at least 2 coordinates, none "
+                                 f"non-finite; got {gap!r}")
+            gap_point = gap_point[:2]
             gap_cost_a = np.sqrt(((a - gap_point) ** 2).sum(axis=-1))
             extend_args = (gap_cost_a, float(gap_point[0]), float(gap_point[1]))
         elif measure in ("edr", "lcss"):
@@ -340,6 +390,7 @@ class StreamingEngine:
             kernel_key = "frechet"
             extend_args = ()
         else:  # dita
+            check_spatiotemporal_args(lambda_spatial, time_scale)
             kernel_key = "dita"
             extend_args = (float(lambda_spatial), float(time_scale))
         if pair_id is None:
@@ -366,9 +417,9 @@ class StreamingEngine:
         """Append ``points`` to the stream.
 
         With ``lazy=True`` the points are only buffered — frontier extension
-        is deferred until ``value()``/``force()`` needs it (or skipped outright
-        when a caller's bound check rules the pair out).  Otherwise every pair
-        on the stream extends now and the fresh values are returned as
+        is deferred until ``values()`` needs it (or skipped outright when a
+        caller's bound check rules the pair out).  Otherwise every pair on
+        the stream extends now and the fresh values are returned as
         ``{pair_id: value}``.
         """
         stream = self._streams[stream_id]
@@ -378,15 +429,14 @@ class StreamingEngine:
         obs_registry.counter("stream.append_points").add(len(points))
         if lazy:
             return None
-        return {pair_id: self.value(pair_id)
-                for pair_id in self._by_stream[stream_id]}
+        return self.force(stream_id)
 
     def evict(self, stream_id: Hashable, count: int) -> None:
         """Slide the window head forward by ``count`` points.
 
         A pair whose checkpoint frontier sits exactly at the new head adopts
         it (zero replayed columns); otherwise its primary frontier is dropped
-        and the next ``value()`` replays the remaining window from scratch.
+        and the next ``values()`` replays the remaining window from scratch.
         Eviction marks the stream windowed, so checkpoints form from here on.
         """
         stream = self._streams[stream_id]
@@ -432,67 +482,35 @@ class StreamingEngine:
             if pair.measure == "lcss":
                 return 0.0 if final_m else _INF
             return 0.0
-        return frontier_bound(pair.measure, primary.column, n,
-                              primary.done - primary.start, final_m)
+        return _frontier_bound(pair.measure, primary.column, n,
+                               primary.done - primary.start, final_m)
 
-    def value(self, pair_id: Hashable, threshold: float | None = None) -> float:
-        """The pair's exact distance over the current window, forcing extension.
-
-        With ``threshold=τ`` the extension abandons — returning ``+inf`` and
-        keeping the frontier at the abandon point — as soon as the frontier
-        bound strictly exceeds ``τ`` (plus the kernels' fp safety slack).  A
-        finite return is always the exact, bitwise-reproducible distance.
-        """
-        pair = self._pairs[pair_id]
-        stream = self._streams[pair.stream_id]
-        n = pair.pattern.shape[0]
-        target = stream.total
-        m_final = target - stream.head
-        primary = self._anchored_primary(pair, stream)
-        if primary.done < target:
-            extend = self._extend_fn(pair)
-            cutoff = None if threshold is None or not np.isfinite(threshold) \
-                else float(kernels._abandon_cutoff(threshold))
-            if cutoff is None:
-                self._advance(pair, primary, stream, target, extend)
-            else:
-                while primary.done < target:
-                    self._advance(pair, primary, stream, primary.done + 1, extend)
-                    if primary.done < target:
-                        bound = frontier_bound(pair.measure, primary.column, n,
-                                               primary.done - primary.start,
-                                               m_final)
-                        if bound > cutoff:
-                            _measure_abandon_counter(pair.measure).add(1)
-                            self._seed_checkpoints(pair, stream, primary.done)
-                            return _INF
-            self._seed_checkpoints(pair, stream, primary.done)
-        return frontier_value(pair.measure, primary.column, n, m_final)
+    def value(self, pair_id: Hashable) -> float:
+        """The pair's exact distance over the current window, forcing extension."""
+        return float(self.values([pair_id])[0])
 
     def _current_value(self, pair_id: Hashable) -> float:
         pair = self._pairs[pair_id]
         stream = self._streams[pair.stream_id]
-        return frontier_value(pair.measure, pair.primary.column,
-                              pair.pattern.shape[0], stream.total - stream.head)
+        return _frontier_value(pair.measure, pair.primary.column,
+                               pair.pattern.shape[0], stream.total - stream.head)
 
     def values(self, pair_ids) -> np.ndarray:
-        """Exact values of many pairs, as ``value()`` would return them one by one.
+        """Exact values of many pairs over their current windows.
 
-        On the numpy backend every frontier the calls would advance — each
-        primary plus the checkpoint frontiers it seeds — runs through stacked
-        anti-diagonal sweeps of the batch kernels' recurrence
-        (:func:`repro.engine.kernels._sweep_table`), grouped by measure,
-        pattern and measure arguments: the table's column 0 is the frontier
-        and its columns ``1..Δ`` the stream's new points.  State, checkpoints
-        and counters end up as after the scalar calls, and every value is
-        bitwise identical; the only accounting difference is that banded DTW
-        charges ``n·Δ`` cells (out-of-band cells run through the sweep, as in
-        the batch kernels).  Compiled backends loop over :meth:`value`.
+        Every frontier the pairs need advanced — each primary plus the
+        checkpoint frontiers it seeds — moves to the window end.  On the
+        numpy backend they run through stacked anti-diagonal sweeps of the
+        batch kernels' recurrence (:func:`repro.engine.kernels._sweep_table`),
+        grouped by measure, pattern and measure arguments: the table's
+        column 0 is the frontier and its columns ``1..Δ`` the stream's new
+        points.  A backend with a per-pair stream kernel advances each
+        frontier through it instead.  Each advanced frontier charges ``n·Δ``
+        cells to ``stream.dp_cells`` (banded DTW counts its out-of-band cells
+        on the sweep, as the batch kernels do, and only in-band cells on a
+        compiled backend).  Every value is bitwise the batch kernel's.
         """
         pair_ids = list(pair_ids)
-        if self._backend.compiled:
-            return np.array([self.value(pair_id) for pair_id in pair_ids],
-                            dtype=np.float64)
         rows = []
         for pair_id in dict.fromkeys(pair_ids):
             pair = self._pairs[pair_id]
@@ -501,38 +519,27 @@ class StreamingEngine:
             if primary.done < stream.total:
                 rows.append((pair, primary, stream))
                 rows += [(pair, frontier, stream) for frontier in
-                         self._checkpoints_behind(pair, stream, stream.total)]
-        while rows:
-            groups: dict[tuple, list] = {}
-            for row in rows:
-                groups.setdefault(row[0].sweep_key, []).append(row)
-            for group in groups.values():
-                n = group[0][0].pattern.shape[0]
-                limit = _segment_limit(n)
-                deltas = [min(stream.total - frontier.done, limit)
-                          for _, frontier, stream in group]
-                for width, block in _plan_blocks(deltas, n):
-                    self._sweep_block([group[r] for r in block],
-                                      [deltas[r] for r in block], width)
-            rows = [row for row in rows if row[1].done < row[2].total]
+                         self._checkpoints_behind(pair, stream)]
+        swept = []
+        for row in rows:
+            extend = self._backend.stream_kernel(row[0].kernel_key)
+            if extend is None:
+                swept.append(row)
+            else:
+                self._advance(*row, extend)
+        self._sweep(swept)
         return np.array([self._current_value(pair_id) for pair_id in pair_ids],
                         dtype=np.float64)
 
     def force(self, stream_id: Hashable) -> dict:
         """Extend every pair on the stream; returns ``{pair_id: value}``."""
-        return {pair_id: self.value(pair_id)
-                for pair_id in self._by_stream[stream_id]}
+        pair_ids = self._by_stream[stream_id]
+        return dict(zip(pair_ids, self.values(pair_ids).tolist()))
 
     # ----------------------------------------------------------------- plumbing
-    def _extend_fn(self, pair: _Pair):
-        fn = self._backend.stream_kernel(pair.kernel_key)
-        return fn if fn is not None else STREAM_KERNELS[pair.kernel_key]
-
     def _fresh_frontier(self, pair: _Pair, start: int) -> _Frontier:
-        n = pair.pattern.shape[0]
-        column = initial_column("dtw" if pair.kernel_key == "dtw_banded"
-                                else pair.measure, n, gap_cost_a=pair.gap_cost_a)
-        return _Frontier(start, column)
+        return _Frontier(start, _initial_column(
+            pair.measure, pair.pattern.shape[0], pair.gap_cost_a))
 
     def _anchored_primary(self, pair: _Pair, stream: _Stream) -> _Frontier:
         """The pair's frontier re-anchored at the current head (replaying if lost)
@@ -568,11 +575,9 @@ class StreamingEngine:
         return primary
 
     def _advance(self, pair: _Pair, frontier: _Frontier, stream: _Stream,
-                 target: int, extend) -> None:
-        """Extend ``frontier`` through stream offset ``target`` (cells counted)."""
-        if frontier.done >= target:
-            return
-        points = stream.slice(frontier.done, target)
+                 extend) -> None:
+        """Extend ``frontier`` to the window end with a per-pair stream kernel."""
+        points = stream.slice(frontier.done, stream.total)
         if pair.spatial and points.shape[1] > 2:
             points = points[:, :2]
         elif not pair.spatial and points.shape[1] < 3:
@@ -584,31 +589,39 @@ class StreamingEngine:
         else:
             cells = extend(pair.pattern, points, frontier.column,
                            *pair.extend_args)
-        frontier.done = target
+        frontier.done = stream.total
         _count_stream_cells(int(cells), pair.measure)
 
-    def _seed_checkpoints(self, pair: _Pair, stream: _Stream, upto: int) -> None:
-        """Create/extend checkpoint frontiers through ``upto`` on windowed streams."""
-        behind = self._checkpoints_behind(pair, stream, upto)
-        if behind:
-            extend = self._extend_fn(pair)
-            for frontier in behind:
-                self._advance(pair, frontier, stream, upto, extend)
-
-    def _checkpoints_behind(self, pair: _Pair, stream: _Stream,
-                            upto: int) -> list[_Frontier]:
-        """Create the checkpoint frontiers due through ``upto`` on a windowed
-        stream; returns every checkpoint not yet extended through ``upto``."""
+    def _checkpoints_behind(self, pair: _Pair, stream: _Stream) -> list[_Frontier]:
+        """Create the checkpoint frontiers due through the window end on a
+        windowed stream; returns every checkpoint not yet extended that far."""
         interval = self.checkpoint_every
         if not interval or not stream.windowed or pair.band is not None:
             return []
         first = ((stream.head // interval) + 1) * interval
-        for start in range(first, upto + 1, interval):
+        for start in range(first, stream.total + 1, interval):
             if start not in pair.checkpoints:
                 pair.checkpoints[start] = self._fresh_frontier(pair, start)
                 obs_registry.counter("stream.checkpoints_created").add(1)
         return [frontier for frontier in pair.checkpoints.values()
-                if frontier.done < upto]
+                if frontier.done < stream.total]
+
+    def _sweep(self, rows: list) -> None:
+        """Advance every ``(pair, frontier, stream)`` row to its window end
+        through stacked sweeps, planned per sweep key by :func:`_plan_blocks`."""
+        while rows:
+            groups: dict[tuple, list] = {}
+            for row in rows:
+                groups.setdefault(row[0].sweep_key, []).append(row)
+            for group in groups.values():
+                n = group[0][0].pattern.shape[0]
+                limit = _segment_limit(n)
+                deltas = [min(stream.total - frontier.done, limit)
+                          for _, frontier, stream in group]
+                for width, block in _plan_blocks(deltas, n):
+                    self._sweep_block([group[r] for r in block],
+                                      [deltas[r] for r in block], width)
+            rows = [row for row in rows if row[1].done < row[2].total]
 
     def _sweep_block(self, rows: list, deltas: list[int], width: int) -> None:
         """Advance each row's frontier by its ``delta`` columns in one stacked
@@ -641,7 +654,7 @@ class StreamingEngine:
             gap_cost_a = pair.gap_cost_a[None]
             gap_cost_b = np.sqrt(((points - gap_point) ** 2).sum(axis=-1))
             # Row 0 accumulates the gap costs left to right from the frontier's
-            # corner, the same additions the scalar loop makes.
+            # corner, continuing the batch kernel's sequential border sum.
             np.cumsum(np.concatenate([corner, gap_cost_b], axis=1), axis=1,
                       out=table[:, 0, :])
         else:

@@ -241,16 +241,20 @@ class StreamMonitor:
         return bounds
 
     def _exact_topk(self, candidates: np.ndarray) -> dict[int, float]:
-        fresh: list[tuple[int, float]] = []
+        fresh: list[int] = []
         stale: list[int] = []
         for stream_id in candidates.tolist():
             pair_id = self._pair_ids.get(stream_id)
             if pair_id is not None and self.engine.pending(pair_id) == 0:
-                fresh.append((stream_id, self.engine.value(pair_id)))
+                fresh.append(stream_id)
             else:
                 stale.append(stream_id)
+        # Fresh frontiers already sit at the window end: one read, no advance.
+        distances = self.engine.values([self._pair_ids[stream_id]
+                                        for stream_id in fresh]).tolist() \
+            if fresh else []
         heap: list[tuple[float, int]] = []  # (-distance, -id): root = worst kept
-        for stream_id, distance in fresh:
+        for stream_id, distance in zip(fresh, distances):
             item = (-distance, -stream_id)
             if len(heap) < self.k:
                 heapq.heappush(heap, item)

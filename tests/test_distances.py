@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro import distances as D
+from repro.engine import StreamingEngine, get_batch_kernel
+from repro.engine.backends import NumpyBackend, numba_kernels
 
 # The worked example of the paper (Example 1): DTW violates the triangle inequality.
 TA = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 3.0]])
@@ -194,6 +196,43 @@ class TestSpatioTemporal:
         shifted[:, 2] += 10.0
         assert D.dita_distance(self.SA, shifted) > D.dita_distance(self.SA, self.SB)
 
+
+def _watch_dita(a, b, **kwargs):
+    """Watching rejects the arguments up front: the compiled stream extends
+    never call :func:`spatiotemporal_point_cost`."""
+    engine = StreamingEngine(backend=NumpyBackend())
+    engine.register_stream("s", points=b)
+    return engine.watch(a, "s", "dita", **kwargs)
+
+
+def _pair(batch_kernel):
+    return lambda a, b, **kwargs: batch_kernel([a], [b], **kwargs)
+
+
+#: Every path that computes a DITA or TP cost.
+SPATIOTEMPORAL_PATHS = {
+    "dita_distance": D.dita_distance,
+    "tp_distance": D.tp_distance,
+    "dita_batch_numpy": _pair(get_batch_kernel("dita")),
+    "dita_batch_numba": _pair(numba_kernels.dita_batch),
+    "tp_batch_numba": _pair(numba_kernels.tp_batch),
+    "stream_watch_dita": _watch_dita,
+}
+
+
+@pytest.mark.parametrize("path", sorted(SPATIOTEMPORAL_PATHS))
+@pytest.mark.parametrize("kwargs", [
+    {"time_scale": 0.0}, {"time_scale": -1.0}, {"time_scale": np.nan},
+    {"time_scale": np.inf}, {"lambda_spatial": -0.1},
+    {"lambda_spatial": 1.5}, {"lambda_spatial": np.nan},
+], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+def test_spatiotemporal_args_rejected_on_every_path(path, kwargs):
+    """A non-positive or non-finite time scale, or a blend weight outside
+    [0, 1], raises on every path instead of giving inf, nan or a negative
+    "distance"."""
+    with pytest.raises(ValueError, match="time_scale|lambda_spatial"):
+        SPATIOTEMPORAL_PATHS[path](TestSpatioTemporal.SA,
+                                   TestSpatioTemporal.SB, **kwargs)
 
 class TestMatrixHelpers:
     TRAJS = [TA, TB, TC]

@@ -10,19 +10,16 @@ code paths) and pins the subsystem's contracts:
   with checkpointing enabled at an aggressive interval so promotions and
   replays are actually exercised;
 * the frontier :meth:`~StreamingEngine.lower_bound` never exceeds the value;
-* τ-abandoning stays sound and resumable: a finite thresholded value is the
-  exact bitwise distance, ``+inf`` is returned only when the true distance
-  provably exceeds τ, and a later unthresholded call recovers the exact
-  value;
 * dp-cell accounting: on append-only streams, the cells an extension charges
   (``stream.dp_cells``) never exceed what recomputing the same window from
   scratch costs, and a growing stream's cumulative streaming cells come in
   strictly below cumulative recompute cells;
-* the stacked path :meth:`StreamingEngine.values` over many streams with
-  mixed deltas (full-window replays next to one-point appends) is bitwise
-  equal to the batch kernel, interleaves with :meth:`~StreamingEngine.value`
-  in either order, charges exactly ``n·Δ`` cells per advanced frontier, and
-  keeps its sweeps to a bounded set of widths and a capped cell count.
+* the numpy stacked sweep behind :meth:`StreamingEngine.values`, over many
+  streams with mixed deltas (full-window replays next to one-point appends),
+  is bitwise equal to the batch kernel and leaves every frontier and
+  checkpoint bitwise where the compiled per-pair loops leave them, charges
+  exactly ``n·Δ`` cells per advanced frontier, and keeps its sweeps to a
+  bounded set of widths and a capped cell count.
 """
 
 from __future__ import annotations
@@ -72,11 +69,9 @@ def _make_points(seed: int, count: int, dim: int) -> np.ndarray:
 
 
 def _reference(measure: str, pattern: np.ndarray, window: np.ndarray,
-               kwargs: dict, threshold: float | None = None) -> float:
+               kwargs: dict) -> float:
     batch = get_batch_kernel(measure)
-    thresholds = None if threshold is None else [threshold]
-    return float(np.asarray(batch([pattern], [window],
-                                  thresholds=thresholds, **kwargs))[0])
+    return float(np.asarray(batch([pattern], [window], **kwargs))[0])
 
 
 def _stream_cells() -> int:
@@ -141,36 +136,6 @@ def test_streaming_matches_batch_bitwise(config_id, measure, kwargs, dim,
         assert value == expected  # bitwise, not approx
         bound = replay.engine.lower_bound(replay.pair)
         assert bound <= value
-
-
-@pytest.mark.parametrize("backend_name,backend",
-                         BACKENDS, ids=[b[0] for b in BACKENDS])
-@pytest.mark.parametrize("config_id,measure,kwargs,dim",
-                         CONFIGS, ids=[c[0] for c in CONFIGS])
-@SETTINGS
-@given(seed=SEEDS, ops=OPS, scale=st.sampled_from([0.5, 1.0, 2.0]))
-def test_threshold_contract(config_id, measure, kwargs, dim,
-                            backend_name, backend, seed, ops, scale):
-    replay = _Replay(measure, kwargs, dim, backend, seed)
-    for op, size in ops:
-        replay.apply(op, size)
-    exact = _reference(measure, replay.pattern, replay.window, kwargs)
-    tau = exact * scale
-    got = replay.engine.value(replay.pair, threshold=tau)
-    if np.isfinite(got):
-        assert got == exact
-    else:
-        assert exact > tau - 1e-9 * max(1.0, abs(tau))
-    # When both survive the threshold they must agree bitwise (abandon
-    # *decisions* may differ: the batch sweep's remaining-work suffix bound is
-    # stronger than the streaming frontier bound, so it may abandon earlier —
-    # both honour "finite ⇒ exact, +inf ⇒ provably > τ").
-    batch = _reference(measure, replay.pattern, replay.window, kwargs,
-                       threshold=tau)
-    if np.isfinite(got) and np.isfinite(batch):
-        assert got == batch
-    # An abandoned frontier must resume to the exact value.
-    assert replay.engine.value(replay.pair) == exact
 
 
 @pytest.mark.parametrize("config_id,measure,kwargs,dim",
@@ -282,14 +247,15 @@ class _Fleet:
 def test_values_matches_batch_bitwise(config_id, measure, kwargs, dim, seed,
                                       steps, paths):
     fleet = _Fleet(measure, kwargs, dim, seed)
-    twin = _Fleet(measure, kwargs, dim, seed)  # driven by value() alone
+    # The compiled per-pair loops (plain Python under the njit stub).
+    twin = _Fleet(measure, kwargs, dim, seed, backend=NumbaBackend)
     everyone = list(range(len(fleet.pairs)))
     for step, stacked in zip(steps, paths):
         for s, (op, size) in enumerate(step):
             fleet.apply(s, op, size)
             twin.apply(s, op, size)
-        # Alternate the stacked and the scalar path on the same frontiers, so
-        # each continues bitwise from the state the other left behind.
+        # Alternate one sweep over every pair with one sweep per pair, so
+        # blocks of either shape continue from the state the other left.
         if stacked:
             got = fleet.engine.values([fleet.pairs[s] for s in everyone])
         else:
@@ -298,15 +264,10 @@ def test_values_matches_batch_bitwise(config_id, measure, kwargs, dim, seed,
             assert value == fleet.expected(s)  # bitwise, not approx
             assert twin.engine.value(twin.pairs[s]) == value
         # Whole frontiers (borders included) and checkpoints match the
-        # scalar path, not just the value cell.
+        # compiled loops, not just the value cell.
         for pair_id, twin_id in zip(fleet.pairs, twin.pairs):
             assert _frontiers(fleet.engine, pair_id) == _frontiers(twin.engine,
                                                                   twin_id)
-    # An abandoned scalar frontier resumes bitwise under the stacked path.
-    tau = 0.5 * fleet.expected(0)
-    fleet.apply(0, "burst", 2)
-    fleet.engine.value(fleet.pairs[0], threshold=tau)
-    assert fleet.engine.values(fleet.pairs[:1])[0] == fleet.expected(0)
 
 
 def _frontiers(engine: StreamingEngine, pair_id) -> dict:
@@ -352,17 +313,34 @@ def test_values_charges_n_times_delta(config_id, measure, kwargs, dim, seed,
         assert charged <= recompute
 
 
-def test_values_on_compiled_backend_loops_over_value(monkeypatch):
+def test_values_on_compiled_backend_runs_stream_kernels(monkeypatch):
+    """A compiled backend advances each frontier through its per-pair stream
+    kernel, never through the stacked sweep, and lands on the batch kernel."""
     fleet = _Fleet("edr", {"epsilon": 0.3}, 2, seed=5, backend=NumbaBackend)
     for s in range(len(fleet.pairs)):
         fleet.apply(s, "burst", 2)
-    calls = []
-    value = fleet.engine.value
-    monkeypatch.setattr(fleet.engine, "value",
-                        lambda pair_id: calls.append(pair_id) or value(pair_id))
+    backend = fleet.engine._backend
+    lookup = backend.stream_kernel
+    advanced = []
+
+    def recording(key):
+        extend = lookup(key)
+
+        def run(a, b_new, column, *args):
+            advanced.append((key, len(b_new)))
+            return extend(a, b_new, column, *args)
+        return run
+
+    def no_sweep(*args):
+        raise AssertionError("the compiled backend ran a stacked sweep")
+
+    expected = [fleet.expected(s) for s in range(len(fleet.pairs))]
+    monkeypatch.setattr(backend, "stream_kernel", recording)
+    monkeypatch.setattr(kernels, "_sweep_table", no_sweep)
     got = fleet.engine.values(fleet.pairs)
-    assert calls == fleet.pairs
-    assert got.tolist() == [fleet.expected(s) for s in range(len(fleet.pairs))]
+    assert advanced == [("edr", len(fleet.window(s)))
+                        for s in range(len(fleet.pairs))]
+    assert got.tolist() == expected
 
 
 def test_values_keeps_input_order_and_duplicates():
@@ -457,6 +435,8 @@ def test_long_advance_splits_into_segments(monkeypatch):
     lambda engine: engine.append("s", [[0.5, np.inf]], lazy=True),
     lambda engine: engine.register_stream("t", points=[[0.0, 0.0], [np.nan, 1.0]]),
     lambda engine: engine.watch([[0.0, 0.0], [np.inf, 1.0]], "s"),
+    lambda engine: engine.watch([[0.0, 0.0]], "s", "erp", gap=(1.0,)),
+    lambda engine: engine.watch([[0.0, 0.0]], "s", "erp", gap=(np.nan, 0.0)),
 ])
 def test_non_finite_input_is_rejected(call):
     engine = StreamingEngine(backend=NumpyBackend())
