@@ -1,12 +1,14 @@
 """Benchmark for Table V: retrieval latency / memory overhead of the LH-plugin.
 
-The memory overhead is deterministic — two projection scalars plus two factor
-vectors per trajectory — and is checked exactly.  The latency overhead is the
-plugin's O(nm) element-wise work on top of the matmul and top-k both paths share;
-it is only bounded loosely here (the paper reports <0.05% at million-trajectory
-scale; at these sizes it is tens of percent).  Plugin and baseline are timed
-interleaved, repeat by repeat, on the same arrays after a warm-up, and the bound
-applies to the median of the per-repeat plugin/baseline ratios.
+The memory overhead is deterministic — two projection scalars (``‖x‖²`` and the
+space-like scale) plus two factor vectors per trajectory — and is checked exactly.
+The latency overhead is the plugin's O(nm) element-wise work on top of the matmul
+and top-k both paths share, less the database norms the baseline recomputes per
+call and the plugin reads from its entry; it is only bounded loosely here (the
+paper reports <0.05% at million-trajectory scale; at these sizes it reads near
+zero or negative).  Plugin and baseline are timed interleaved, repeat by repeat,
+on the same arrays after a warm-up, and the bound applies to the median of the
+per-repeat plugin/baseline ratios.
 """
 
 import numpy as np

@@ -149,9 +149,14 @@ class DynamicFusion(Module):
     @staticmethod
     def alpha_matrix(query_factors: tuple[np.ndarray, np.ndarray],
                      database_factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """All-pairs ``α_Lo`` between query and database factor vectors."""
+        """All-pairs ``α_Lo`` between query and database factor vectors.
+
+        The sum and the quotient run in place over the two Gram products.
+        """
         q_lo, q_eu = query_factors
         d_lo, d_eu = database_factors
         lorentz_term = q_lo @ d_lo.T
         euclid_term = q_eu @ d_eu.T
-        return lorentz_term / (lorentz_term + euclid_term)
+        euclid_term += lorentz_term
+        lorentz_term /= euclid_term
+        return lorentz_term

@@ -25,7 +25,7 @@ from ..nn import Module, Tensor, as_tensor, euclidean_distance, no_grad
 from .config import LHPluginConfig
 from .fusion import DynamicFusion, fuse_distances, lorentz_proportion  # noqa: F401
 from .lorentz import lorentz_distance_matrix, lorentz_distance_t  # noqa: F401
-from .projection import project, project_t, projection_scalars
+from .projection import project, project_t, space_scale, time_like_coordinate
 
 __all__ = ["LHPlugin", "PluggedEncoder"]
 
@@ -120,20 +120,32 @@ class LHPlugin(Module):
                        point_sequences=None) -> dict:
         """Precompute everything retrieval needs for a database of embeddings.
 
-        The hyperbolic projection is stored in its compact form (two scalars per
-        embedding, see :func:`~repro.core.projection.projection_scalars`) so the
-        plugin's memory overhead stays small; fusion factor vectors are added when
-        dynamic fusion is enabled.  This is the "pre-embedding" step of the efficiency
-        experiment: it is done once, offline.
+        The hyperbolic projection is stored in its compact form, two scalars per
+        embedding: the squared norm ``squared_norm`` (``‖x‖²``) and the space-like
+        scale ``space_scale`` (``s``, see :func:`~repro.core.projection.space_scale`).
+        The time-like coordinate ``x₀`` is a cheap function of ``‖x‖²`` and is
+        derived at query time, so the plugin's memory overhead stays at two floats
+        per trajectory; fusion factor vectors are added when dynamic fusion is
+        enabled.  This is the "pre-embedding" step of the efficiency experiment: it
+        is done once, offline.  The embeddings must be ``(n, d)`` with one point
+        sequence per row.
         """
         euclidean_embeddings = np.asarray(euclidean_embeddings, dtype=np.float64)
-        time_like, space_scale = projection_scalars(
-            euclidean_embeddings, beta=self.config.beta, c=self.config.compression,
-            method=self.config.projection)
+        if euclidean_embeddings.ndim != 2:
+            raise ValueError("embed_database expects (n, d) embeddings, got shape "
+                             f"{euclidean_embeddings.shape}")
+        if point_sequences is not None:
+            point_sequences = list(point_sequences)
+            if len(point_sequences) != len(euclidean_embeddings):
+                raise ValueError(f"embed_database got {len(point_sequences)} point "
+                                 f"sequences for {len(euclidean_embeddings)} embeddings")
+        squared_norm = (euclidean_embeddings ** 2).sum(axis=1)
         entry = {
             "euclidean": euclidean_embeddings,
-            "time_like": time_like,
-            "space_scale": space_scale,
+            "squared_norm": squared_norm,
+            "space_scale": space_scale(squared_norm, beta=self.config.beta,
+                                       c=self.config.compression,
+                                       method=self.config.projection),
         }
         if self.fusion is not None:
             if point_sequences is None:
@@ -141,27 +153,56 @@ class LHPlugin(Module):
             entry["factors"] = self.fusion.factors_numpy(point_sequences)
         return entry
 
+    def _time_like(self, entry: dict) -> np.ndarray:
+        """The time-like coordinates ``x₀`` of a pre-embedded entry."""
+        return time_like_coordinate(entry["squared_norm"], beta=self.config.beta,
+                                    c=self.config.compression,
+                                    method=self.config.projection)
+
     def distance_matrix(self, query_db: dict, database_db: dict | None = None) -> np.ndarray:
         """All-pairs plugin distances between two pre-embedded databases (NumPy).
 
-        The Lorentz Gram matrix is rebuilt from the shared Euclidean Gram matrix,
-        so the plugin adds only element-wise work on top of the matrix product the
-        Euclidean path needs anyway.
+        The Lorentz Gram matrix is rebuilt from the shared Euclidean Gram matrix
+        ``G`` and the stored scalars as ``s_q·s_d·G − x₀_q·x₀_d`` (``x₀`` derived
+        from ``‖x‖²``), and the Euclidean distance as ``sqrt(‖q‖² + ‖d‖² − 2G)``, so
+        the plugin adds only element-wise work on top of the matrix product the
+        Euclidean path needs anyway.  That work runs in place over ``G``, the
+        result, one scratch array and ``α``, in the operation order of the plain
+        expressions, so the values are bit for bit those of the expressions
+        written out.
         """
         database_db = query_db if database_db is None else database_db
-        queries = query_db["euclidean"]
-        database = database_db["euclidean"]
-        gram = queries @ database.T
-        lorentz_gram = (np.outer(query_db["space_scale"], database_db["space_scale"]) * gram
-                        - np.outer(query_db["time_like"], database_db["time_like"]))
-        lorentz = np.abs(lorentz_gram) - self.config.beta
+        if self.fusion is not None and not ("factors" in query_db
+                                            and "factors" in database_db):
+            raise ValueError("a fusion plugin needs the 'factors' key in both entries; "
+                             "embed them with a fusion plugin and the point sequences")
+        gram = query_db["euclidean"] @ database_db["euclidean"].T
+        query_time = self._time_like(query_db)
+        database_time = (query_time if database_db is query_db
+                         else self._time_like(database_db))
+        # Lorentz: |s_q·s_d·G − x₀_q·x₀_d| − β.
+        lorentz = np.multiply.outer(query_db["space_scale"], database_db["space_scale"])
+        lorentz *= gram
+        scratch = np.multiply.outer(query_time, database_time)
+        lorentz -= scratch
+        np.abs(lorentz, out=lorentz)
+        lorentz -= self.config.beta
         if self.fusion is None:
             return lorentz
-        squared = ((queries ** 2).sum(axis=1)[:, None]
-                   + (database ** 2).sum(axis=1)[None, :])
-        euclidean = np.sqrt(np.maximum(squared - 2.0 * gram, 0.0))
+        # Euclidean: sqrt(max(‖q‖² + ‖d‖² − 2G, 0)), left in ``scratch``.
+        np.add.outer(query_db["squared_norm"], database_db["squared_norm"], out=scratch)
+        gram *= 2.0
+        scratch -= gram
+        del gram
+        np.maximum(scratch, 0.0, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        # Fusion: α·L + (1 − α)·E.
         alpha = DynamicFusion.alpha_matrix(query_db["factors"], database_db["factors"])
-        return alpha * lorentz + (1.0 - alpha) * euclidean
+        lorentz *= alpha
+        np.subtract(1.0, alpha, out=alpha)
+        alpha *= scratch
+        lorentz += alpha
+        return lorentz
 
 
 class PluggedEncoder(Module):

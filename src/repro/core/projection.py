@@ -33,6 +33,8 @@ __all__ = [
     "project",
     "project_t",
     "projection_scalars",
+    "space_scale",
+    "time_like_coordinate",
 ]
 
 _EPS = 1e-12
@@ -46,14 +48,53 @@ def norm_compression(squared_norm: np.ndarray, c: float) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- NumPy path
-def vanilla_projection(x: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """Vanilla hyperbolic projection ``φ(x)``: prepend ``sqrt(‖x‖² + β)``."""
+def time_like_coordinate(squared_norm: np.ndarray, beta: float = 1.0, c: float = 4.0,
+                         method: str = "cosh") -> np.ndarray:
+    """The time-like coordinate ``x₀`` of a projection, from the squared norm ``‖x‖²``.
+
+    ``√β·cosh((‖x‖²)^{1/c})`` for the cosh projection, ``sqrt(‖x‖² + β)`` for the
+    vanilla one.  :func:`projection_scalars` and the plugin's retrieval path both
+    derive ``x₀`` here, so a stored ``‖x‖²`` reproduces it bit for bit.
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if method == "vanilla":
+        return np.sqrt(squared_norm + beta)
+    if method == "cosh":
+        return np.sqrt(beta) * np.cosh(norm_compression(squared_norm, c))
+    raise ValueError(f"unknown projection method '{method}'")
+
+
+def space_scale(squared_norm: np.ndarray, beta: float = 1.0, c: float = 4.0,
+                method: str = "cosh") -> np.ndarray:
+    """The space-like scale ``s`` of a projection, from the squared norm ``‖x‖²``.
+
+    ``√β·sinh((‖x‖²)^{1/c})/‖x‖`` for the cosh projection (``0`` at ``‖x‖ = 0``),
+    ``1`` for the vanilla one.
+    """
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if method == "vanilla":
+        return np.ones_like(squared_norm)
+    if method == "cosh":
+        magnitude = norm_compression(squared_norm, c)
+        # sinh(m)/‖x‖ is a finite float for every nonzero norm (denormals included),
+        # so only ‖x‖ = 0 needs guarding — and there sinh(m) = 0 already zeroes the
+        # spatial block.  A fixed _EPS floor on the denominator would push points
+        # with 0 < ‖x‖ < _EPS off the hyperboloid by sinh²(m): large-c compression
+        # keeps m non-negligible for norms far below any constant threshold.
+        euclidean_norm = np.sqrt(squared_norm)
+        safe_norm = np.where(euclidean_norm > 0.0, euclidean_norm, 1.0)
+        return np.sqrt(beta) * np.sinh(magnitude) / safe_norm
+    raise ValueError(f"unknown projection method '{method}'")
+
+
+def vanilla_projection(x: np.ndarray, beta: float = 1.0) -> np.ndarray:
+    """Vanilla hyperbolic projection ``φ(x)``: prepend ``sqrt(‖x‖² + β)``."""
     x = np.asarray(x, dtype=np.float64)
     squared = (x ** 2).sum(axis=-1, keepdims=True)
-    time_like = np.sqrt(squared + beta)
-    return np.concatenate([time_like, x], axis=-1)
+    return np.concatenate([time_like_coordinate(squared, beta=beta, method="vanilla"), x],
+                          axis=-1)
 
 
 def cosh_projection(x: np.ndarray, beta: float = 1.0, c: float = 4.0) -> np.ndarray:
@@ -63,21 +104,10 @@ def cosh_projection(x: np.ndarray, beta: float = 1.0, c: float = 4.0) -> np.ndar
     ``k = √β·sinh(m)/‖x‖`` so that ``⟨x, x⟩_L = β·cosh²(m) − k²‖x‖² = −(−β)`` holds
     exactly — i.e. membership of ``H(β)`` does not depend on ``c``.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=np.float64)
     squared = (x ** 2).sum(axis=-1, keepdims=True)
-    magnitude = norm_compression(squared, c)
-    euclidean_norm = np.sqrt(squared)
-    sqrt_beta = np.sqrt(beta)
-    time_like = sqrt_beta * np.cosh(magnitude)
-    # sinh(m)/‖x‖ is a finite float for every nonzero norm (denormals included),
-    # so only ‖x‖ = 0 needs guarding — and there sinh(m) = 0 already zeroes the
-    # spatial block.  A fixed _EPS floor on the denominator would push points
-    # with 0 < ‖x‖ < _EPS off the hyperboloid by sinh²(m): large-c compression
-    # keeps m non-negligible for norms far below any constant threshold.
-    safe_norm = np.where(euclidean_norm > 0.0, euclidean_norm, 1.0)
-    scale = sqrt_beta * np.sinh(magnitude) / safe_norm
+    time_like = time_like_coordinate(squared, beta=beta, c=c, method="cosh")
+    scale = space_scale(squared, beta=beta, c=c, method="cosh")
     return np.concatenate([time_like, x * scale], axis=-1)
 
 
@@ -96,30 +126,15 @@ def projection_scalars(x: np.ndarray, beta: float = 1.0, c: float = 4.0,
     """Compact form of a projection: the time-like coordinate and the space-like scale.
 
     Every projection in this module maps ``x`` to ``(x₀, s·x)`` for scalars ``x₀`` and
-    ``s`` that depend only on ``‖x‖``; storing the two scalars per embedding instead of
-    a full ``(n+1)``-dimensional copy keeps the plugin's memory overhead to two floats
-    per trajectory, and the Lorentz Gram matrix can be rebuilt from the Euclidean Gram
-    matrix as ``s_a·s_b·(X_a·X_bᵀ) − x₀ₐ·x₀ᵦᵀ``.
+    ``s`` that depend only on ``‖x‖``, and the Lorentz Gram matrix can be rebuilt from
+    the Euclidean Gram matrix as ``s_a·s_b·(X_a·X_bᵀ) − x₀ₐ·x₀ᵦᵀ``.  The plugin's
+    pre-embedded entry keeps two floats per trajectory, ``‖x‖²`` and ``s``: ``x₀`` is
+    derived from ``‖x‖²`` by :func:`time_like_coordinate` when it is needed.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=np.float64)
     squared = (x ** 2).sum(axis=-1)
-    if method == "vanilla":
-        time_like = np.sqrt(squared + beta)
-        scale = np.ones_like(time_like)
-        return time_like, scale
-    if method == "cosh":
-        magnitude = norm_compression(squared, c)
-        sqrt_beta = np.sqrt(beta)
-        time_like = sqrt_beta * np.cosh(magnitude)
-        # Same zero-only guard as cosh_projection: a fixed floor would distort
-        # sub-_EPS norms off the hyperboloid.
-        euclidean_norm = np.sqrt(squared)
-        safe_norm = np.where(euclidean_norm > 0.0, euclidean_norm, 1.0)
-        scale = sqrt_beta * np.sinh(magnitude) / safe_norm
-        return time_like, scale
-    raise ValueError(f"unknown projection method '{method}'")
+    return (time_like_coordinate(squared, beta=beta, c=c, method=method),
+            space_scale(squared, beta=beta, c=c, method=method))
 
 
 # ------------------------------------------------------------------- Tensor path

@@ -5,7 +5,10 @@ the *online* retrieval cost: given a query embedding, compute its distance to ev
 database embedding and take the top-k.  Both paths share the Gram matmul and the
 top-k selection (``knn_from_matrix``); the plugin adds O(nm) element-wise work on
 top (the Lorentz distances from the Gram matrix, the fusion weights α and the blend;
-projection is folded into the pre-embedding).
+projection is folded into the pre-embedding, whose entry holds ``‖x‖²`` and the
+space-like scale per trajectory).  The plugin reads the database's squared norms
+from that entry, while the Euclidean baseline recomputes them on every call, so
+the baseline is not the cheapest possible Euclidean path.
 """
 
 from __future__ import annotations

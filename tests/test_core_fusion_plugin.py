@@ -11,7 +11,9 @@ from repro.core import (
     PluggedEncoder,
     fuse_distances,
     lorentz_proportion,
+    projection_scalars,
 )
+from repro.core.projection import time_like_coordinate
 from repro.data import generate_dataset
 from repro.models import MeanPoolEncoder
 from repro.nn import Tensor
@@ -144,8 +146,28 @@ class TestLHPlugin:
         embeddings = rng.normal(size=(5, 6))
         sequences = [rng.random((6, 2)) for _ in range(5)]
         database = plugin.embed_database(embeddings, sequences)
-        assert set(database) == {"euclidean", "time_like", "space_scale", "factors"}
-        assert database["time_like"].shape == (5,)
+        assert set(database) == {"euclidean", "squared_norm", "space_scale", "factors"}
+        assert database["squared_norm"].shape == (5,)
+        time_like, scale = projection_scalars(embeddings, beta=plugin.config.beta,
+                                              c=plugin.config.compression)
+        assert np.array_equal(database["squared_norm"], (embeddings ** 2).sum(axis=1))
+        assert np.array_equal(database["space_scale"], scale)
+        assert np.array_equal(time_like_coordinate(database["squared_norm"],
+                                                   beta=plugin.config.beta,
+                                                   c=plugin.config.compression), time_like)
+
+    @pytest.mark.parametrize("embeddings, count", [
+        (np.ones((6, 4)), 1), (np.ones((6, 4)), 4), (np.ones(4), 1)])
+    def test_embed_database_rejects_mismatched_input(self, embeddings, count):
+        sequences = [np.random.default_rng(i).random((5, 2)) for i in range(count)]
+        with pytest.raises(ValueError):
+            self._plugin().embed_database(embeddings, sequences)
+
+    def test_distance_matrix_names_missing_factors(self):
+        embeddings = np.random.default_rng(6).normal(size=(3, 4))
+        entry = self._plugin(use_fusion=False).embed_database(embeddings)
+        with pytest.raises(ValueError, match="factors"):
+            self._plugin().distance_matrix(entry)
 
     def test_embed_database_requires_sequences_for_fusion(self):
         plugin = self._plugin()
