@@ -2,7 +2,7 @@
 
 Two questions, one script:
 
-1. **Exactness** — the compiled per-pair DP kernels must agree with the numpy
+1. **Exactness** — the compiled DP kernels must agree with the numpy
    wavefront kernels bitwise for the DP measures (and to 1e-12 relative for
    the mean-based SSPD/TP, whose summation order differs), with and without
    abandon thresholds.  This is checked *always*, whichever backend is

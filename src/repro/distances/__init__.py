@@ -11,9 +11,6 @@ from .base import (
     register_distance,
     get_distance,
     available_distances,
-    register_kernel,
-    get_kernel,
-    available_kernels,
     METRIC_PROPERTIES,
 )
 from .dtw import dtw_distance, dtw_distance_with_path
@@ -33,8 +30,7 @@ from .matrix import (
 
 __all__ = [
     "as_points", "point_distance_matrix", "register_distance", "get_distance",
-    "available_distances", "register_kernel", "get_kernel", "available_kernels",
-    "METRIC_PROPERTIES",
+    "available_distances", "METRIC_PROPERTIES",
     "dtw_distance", "dtw_distance_with_path",
     "sspd_distance", "point_to_trajectory_distance",
     "edr_distance", "edr_distance_normalized",

@@ -20,26 +20,13 @@ __all__ = [
     "register_distance",
     "get_distance",
     "available_distances",
-    "register_kernel",
-    "get_kernel",
-    "available_kernels",
+    "checked_points",
     "METRIC_PROPERTIES",
 ]
 
 DistanceFunction = Callable[[np.ndarray, np.ndarray], float]
 
 _REGISTRY: dict[str, DistanceFunction] = {}
-
-#: Vectorized (wavefront / broadcast) kernels living alongside the reference
-#: implementations.  A kernel shares the reference function's signature and must
-#: be numerically interchangeable with it (the engine parity suite enforces a
-#: 1e-9 agreement); the compute engine prefers a kernel when one is registered.
-#: Kernels may additionally accept an optional ``threshold`` keyword (their
-#: batch twins a ``thresholds`` vector): a per-pair abandon threshold, under
-#: which the kernel may return ``+inf`` instead of the exact value — but only
-#: when the exact value provably exceeds the threshold.  A finite return is
-#: always the exact distance.
-_KERNEL_REGISTRY: dict[str, DistanceFunction] = {}
 
 #: Which registered measures are true metrics (satisfy the triangle inequality).
 #: DTW, SSPD and EDR famously do not; Hausdorff and discrete Fréchet do.
@@ -64,6 +51,23 @@ def as_points(trajectory, spatial_only: bool = True) -> np.ndarray:
         raise ValueError("trajectory points need at least lon and lat columns")
     if spatial_only:
         return points[:, :2]
+    return points
+
+
+def checked_points(points, what: str) -> np.ndarray:
+    """``points`` (or its ``.points``) as an ``(n, d>=2)`` float64 array of
+    finite coordinates.
+
+    Raises ``ValueError`` naming ``what`` otherwise — the one input check of
+    the mutable layers (live streams, the search index, kNN queries), run
+    before any state changes so a rejected input leaves nothing half-applied.
+    """
+    points = np.asarray(getattr(points, "points", points), dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] < 2:
+        raise ValueError(f"{what} must form an (n, d>=2) array, "
+                         f"got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError(f"{what} contain non-finite coordinates")
     return points
 
 
@@ -98,31 +102,3 @@ def get_distance(name: str) -> DistanceFunction:
 def available_distances() -> list[str]:
     """Names of every registered distance function."""
     return sorted(_REGISTRY)
-
-
-def register_kernel(name: str):
-    """Decorator registering a vectorized kernel for the measure ``name``.
-
-    The measure itself does not need to be registered yet (kernel modules may be
-    imported before the reference implementations), but the names must agree for
-    the engine to pair them up.
-    """
-
-    def decorator(func: DistanceFunction) -> DistanceFunction:
-        key = name.lower()
-        if key in _KERNEL_REGISTRY:
-            raise KeyError(f"kernel for '{name}' already registered")
-        _KERNEL_REGISTRY[key] = func
-        return func
-
-    return decorator
-
-
-def get_kernel(name: str) -> DistanceFunction | None:
-    """Vectorized kernel for ``name``, or None when only the reference exists."""
-    return _KERNEL_REGISTRY.get(name.lower())
-
-
-def available_kernels() -> list[str]:
-    """Names of every measure that has a vectorized kernel."""
-    return sorted(_KERNEL_REGISTRY)

@@ -73,7 +73,6 @@ from .arena_cache import (
     reset_arena_cache,
 )
 from .streaming import (
-    CHECKPOINT_ENV,
     DEFAULT_CHECKPOINT,
     STREAM_MEASURES,
     StreamingEngine,
@@ -94,5 +93,5 @@ __all__ = [
     "live_arena_names",
     "ARENA_CACHE_ENV", "DEFAULT_ARENA_CACHE_BYTES", "ArenaCache", "CachedArena",
     "get_arena_cache", "reset_arena_cache",
-    "CHECKPOINT_ENV", "DEFAULT_CHECKPOINT", "STREAM_MEASURES", "StreamingEngine",
+    "DEFAULT_CHECKPOINT", "STREAM_MEASURES", "StreamingEngine",
 ]

@@ -1,16 +1,18 @@
 """Pluggable kernel backends: numpy reference vs compiled (numba) DP kernels.
 
-The distance/kernel registries in :mod:`repro.distances.base` and
-:mod:`repro.engine.kernels` map a *measure name* to an implementation; this
+:mod:`repro.engine.kernels` maps a *measure name* to a batch kernel; this
 package adds the orthogonal axis — *which implementation family* the engine
-uses:
+uses.  A backend offers one contract: batch kernels (a single pair is a
+one-pair batch) plus :meth:`KernelBackend.sweep_table`, the stacked table
+fill the streaming engine advances every frontier through.
 
-* ``numpy`` — the anti-diagonal wavefront batch kernels of
+* ``numpy`` — the anti-diagonal wavefront batch kernels and sweep of
   :mod:`repro.engine.kernels`.  Always available; the bitwise reference.
-* ``numba`` — per-pair ``@njit``-compiled row-major DP loops
+* ``numba`` — ``@njit``-compiled row-major DP loops
   (:mod:`repro.engine.backends.numba_kernels`) covering all nine measures,
-  with the ``thresholds=`` early-abandoning contract inside the jitted loop.
-  Selectable only when numba is importable.
+  with the ``thresholds=`` early-abandoning contract inside the jitted loop,
+  and a per-row table fill sharing those loops' recurrences.  Selectable
+  only when numba is importable.
 * ``auto`` (the default) — ``numba`` when importable, else ``numpy`` with a
   single process-wide warning.
 
@@ -32,8 +34,7 @@ import warnings
 from typing import Callable
 
 from ...config import EnvError, env_raw
-from ...distances.base import get_kernel
-from ..kernels import available_batch_kernels, get_batch_kernel
+from .. import kernels
 
 __all__ = [
     "KernelBackend",
@@ -61,10 +62,10 @@ class KernelBackend:
     """Interface every kernel backend implements.
 
     A backend maps measure names to batch kernels (``(list_a, list_b,
-    thresholds=None, **kwargs) -> (P,) float64``) and per-pair kernels
-    (``(a, b, threshold=None, **kwargs) -> float``).  Returning ``None`` from
-    either lookup makes the engine fall through to the reference
-    implementation for that measure, so a backend may cover any subset.
+    thresholds=None, **kwargs) -> (P,) float64``); returning ``None`` makes
+    the engine fall through to the numpy batch kernel, then to the reference
+    implementation, so a backend may cover any subset of measures.
+    :meth:`sweep_table` defaults to the numpy sweep.
     """
 
     name: str = "?"
@@ -80,25 +81,19 @@ class KernelBackend:
         """Batch kernel for ``measure`` or None."""
         return None
 
-    def pair_kernel(self, measure: str) -> Callable | None:
-        """Per-pair kernel for ``measure`` or None."""
-        return None
+    def sweep_table(self, mode: str, table, data, gap_cost_a=None,
+                    gap_cost_b=None) -> None:
+        """Fill stacked, already-bordered DP tables in place.
 
-    def supports_threshold(self, measure: str) -> bool:
-        """Whether this backend's kernels honour abandon thresholds for ``measure``."""
-        return False
-
-    def stream_kernel(self, measure: str) -> Callable | None:
-        """Per-pair prefix-incremental frontier extend for ``measure``, or None.
-
-        Compiled backends only.  Keys follow the numba backend's
-        ``STREAM_KERNELS`` (``"dtw_banded"`` selects the band-restricted DTW
-        extend).  ``StreamingEngine.values`` advances a frontier through the
-        returned loop; on None it runs the frontier through the stacked
-        anti-diagonal sweep of the batch kernels' recurrence instead, which
-        is what the numpy backend does.
+        ``mode`` is a recurrence (``"dtw"``, ``"erp"``, ``"edr"``, ``"lcss"``,
+        ``"frechet"``; DITA fills with ``"dtw"``), ``table`` a C-contiguous
+        ``(rows, n+1, width+1)`` array whose row 0 and column 0 hold the
+        borders, ``data`` the ``(rows, n, width)`` cost or match tensor and
+        the gap costs ERP's.  Arguments as :func:`repro.engine.kernels.
+        _sweep_table`, which is this default; every backend must fill
+        bitwise the same tables.
         """
-        return None
+        kernels._sweep_table(mode, table, data, gap_cost_a, gap_cost_b)
 
     def warmup(self) -> float:
         """Prepare the backend (JIT compilation); returns the seconds it took.
@@ -115,20 +110,11 @@ class NumpyBackend(KernelBackend):
     compiled = False
 
     def batch_kernel(self, measure: str) -> Callable | None:
-        return get_batch_kernel(measure)
-
-    def pair_kernel(self, measure: str) -> Callable | None:
-        return get_kernel(measure)
-
-    def supports_threshold(self, measure: str) -> bool:
-        # Pairwise kernel and batch kernel are registered together with
-        # threshold support; measures with only a reference function are not.
-        return (get_batch_kernel(measure) is not None
-                and get_kernel(measure) is not None)
+        return kernels.get_batch_kernel(measure)
 
 
 class NumbaBackend(KernelBackend):
-    """Per-pair ``@njit`` DP kernels for all nine measures."""
+    """``@njit`` DP kernels for all nine measures."""
 
     name = "numba"
     compiled = True
@@ -144,14 +130,9 @@ class NumbaBackend(KernelBackend):
     def batch_kernel(self, measure: str) -> Callable | None:
         return self._module().BATCH_KERNELS.get(measure.lower())
 
-    def pair_kernel(self, measure: str) -> Callable | None:
-        return self._module().PAIR_KERNELS.get(measure.lower())
-
-    def supports_threshold(self, measure: str) -> bool:
-        return measure.lower() in self._module().THRESHOLD_MEASURES
-
-    def stream_kernel(self, measure: str) -> Callable | None:
-        return self._module().STREAM_KERNELS.get(measure.lower())
+    def sweep_table(self, mode: str, table, data, gap_cost_a=None,
+                    gap_cost_b=None) -> None:
+        self._module().sweep_table(mode, table, data, gap_cost_a, gap_cost_b)
 
     def warmup(self) -> float:
         return self._module().warmup()

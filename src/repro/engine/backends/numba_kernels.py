@@ -1,4 +1,4 @@
-"""Numba-JIT per-pair DP kernels — the ``numba`` kernel backend.
+"""Numba-JIT row-major DP kernels — the ``numba`` kernel backend.
 
 The numpy wavefront kernels in :mod:`repro.engine.kernels` amortise interpreter
 overhead across anti-diagonals and batches, but every diagonal still costs a
@@ -7,6 +7,14 @@ DP cells yet loses wall-clock there (``prune_speedup.json``).  The kernels here
 run each pair's whole DP table inside one ``@njit``-compiled function: plain
 row-major loops with zero interpreter overhead per cell, where UCR-style
 row-wise early abandoning finally pays for itself.
+
+**One contract.**  The backend exposes batch kernels (:data:`BATCH_KERNELS`,
+lists of trajectories → distance vector; a single pair is a one-pair batch)
+and one stacked table fill, :func:`sweep_table`, for the streaming engine.
+Each DP recurrence is written once per measure as a jitted ``_*_fill`` over
+an already-bordered table: a batch kernel's ``_*_dp`` loop runs it when no
+threshold applies, and :func:`sweep_table` runs it once per stacked row of
+the tables :class:`repro.engine.streaming.StreamingEngine` builds.
 
 **Parity contract.**  Every kernel performs cell-for-cell the same floating-
 point arithmetic, in the same order, as the numpy reference — point costs
@@ -86,9 +94,8 @@ __all__ = [
     "NUMBA_AVAILABLE",
     "NUMBA_VERSION",
     "BATCH_KERNELS",
-    "PAIR_KERNELS",
-    "STREAM_KERNELS",
     "THRESHOLD_MEASURES",
+    "sweep_table",
     "warmup",
     "warmup_seconds",
 ]
@@ -184,13 +191,35 @@ def _minplus_suffixes(cost):
 # ----------------------------------------------------------------- DTW / DITA
 
 @njit(cache=True)
+def _dtw_fill(table, cost, w):
+    """Min-plus fill of a bordered ``(n+1, m+1)`` table, row by row, over the
+    columns within ``w`` of the diagonal (``w >= n + m``: every column).
+    Returns the number of cells filled."""
+    n, m = cost.shape
+    cells = 0
+    for i in range(1, n + 1):
+        jlo = i - w if i - w > 1 else 1
+        jhi = i + w if i + w < m else m
+        for j in range(jlo, jhi + 1):
+            best = table[i - 1, j]
+            if table[i, j - 1] < best:
+                best = table[i, j - 1]
+            if table[i - 1, j - 1] < best:
+                best = table[i - 1, j - 1]
+            table[i, j] = best + cost[i - 1, j - 1]
+        cells += jhi - jlo + 1
+    return cells
+
+
+@njit(cache=True)
 def _dtw_dp(cost, band, cutoff):
     """Row-wise (optionally banded) min-plus DP with per-cell pruned windows.
 
     ``band < 0`` disables the Sakoe–Chiba band; otherwise it is widened to
     ``|n - m|`` exactly like the reference.  ``cutoff`` is τ plus the fp
-    safety slack; ``+inf`` disables abandoning and runs the plain full sweep.
-    Returns ``(value, cells)`` with ``value = +inf`` when abandoned.
+    safety slack; ``+inf`` disables abandoning and runs the plain
+    :func:`_dtw_fill`.  Returns ``(value, cells)`` with ``value = +inf`` when
+    abandoned.
 
     Pruning (PrunedDTW-style): a cell is *doomed* when its value plus the
     admissible remaining-work bound ``max(row_rem[i], col_rem[j])`` exceeds
@@ -208,20 +237,10 @@ def _dtw_dp(cost, band, cutoff):
         w = band if band > diff else diff
     table = np.full((n + 1, m + 1), _INF)
     table[0, 0] = 0.0
-    cells = 0
     if not np.isfinite(cutoff):
-        for i in range(1, n + 1):
-            jlo = i - w if i - w > 1 else 1
-            jhi = i + w if i + w < m else m
-            for j in range(jlo, jhi + 1):
-                best = table[i - 1, j]
-                if table[i, j - 1] < best:
-                    best = table[i, j - 1]
-                if table[i - 1, j - 1] < best:
-                    best = table[i - 1, j - 1]
-                table[i, j] = best + cost[i - 1, j - 1]
-            cells += jhi - jlo + 1
+        cells = _dtw_fill(table, cost, w)
         return table[n, m], cells
+    cells = 0
     row_rem, col_rem = _minplus_suffixes(cost)
     # Border: every path starts at (0, 0).
     rem0 = row_rem[0] if row_rem[0] > col_rem[0] else col_rem[0]
@@ -265,6 +284,22 @@ def _dtw_dp(cost, band, cutoff):
 # ------------------------------------------------------------------------ ERP
 
 @njit(cache=True)
+def _erp_fill(table, cost, gap_a, gap_b):
+    """Min-plus fill of a bordered ERP table: substitute, or gap either side."""
+    n, m = cost.shape
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = table[i - 1, j - 1] + cost[i - 1, j - 1]
+            da = table[i - 1, j] + gap_a[i - 1]
+            db = table[i, j - 1] + gap_b[j - 1]
+            if db < da:
+                da = db
+            if da < sub:
+                sub = da
+            table[i, j] = sub
+
+
+@njit(cache=True)
 def _erp_dp(cost, gap_a, gap_b, cutoff):
     """Row-wise ERP DP with per-cell pruned windows (gap borders are real
     cells: they are doom-checked too, and an alive left border re-opens the
@@ -284,20 +319,10 @@ def _erp_dp(cost, gap_a, gap_b, cutoff):
     for j in range(1, m + 1):
         acc += gap_b[j - 1]
         table[0, j] = acc
-    cells = 0
     if not do_bound:
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                sub = table[i - 1, j - 1] + cost[i - 1, j - 1]
-                da = table[i - 1, j] + gap_a[i - 1]
-                db = table[i, j - 1] + gap_b[j - 1]
-                if db < da:
-                    da = db
-                if da < sub:
-                    sub = da
-                table[i, j] = sub
-            cells += m
-        return table[n, m], cells
+        _erp_fill(table, cost, gap_a, gap_b)
+        return table[n, m], n * m
+    cells = 0
     # A remaining row is matched (>= its row-minimum cost) or gapped
     # (>= its gap cost): each contributes the smaller of the two.
     row_rem = np.zeros(n + 1)
@@ -393,6 +418,24 @@ def _edr_rem(row_rem, col_rem, tail, n, m, i, j):
 
 
 @njit(cache=True)
+def _edr_fill(table, match):
+    """Edit-count fill of a bordered EDR table over a boolean match matrix."""
+    n, m = match.shape
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            sub = table[i - 1, j - 1]
+            if not match[i - 1, j - 1]:
+                sub += 1.0
+            gap = table[i - 1, j]
+            if table[i, j - 1] < gap:
+                gap = table[i, j - 1]
+            gap += 1.0
+            if gap < sub:
+                sub = gap
+            table[i, j] = sub
+
+
+@njit(cache=True)
 def _edr_dp(match, cutoff):
     """Row-wise EDR DP with per-cell pruned windows; borders are real cells
     (doom-checked, not counted) and an alive left border re-opens the row."""
@@ -406,22 +449,10 @@ def _edr_dp(match, cutoff):
         table[i, 0] = i
     for j in range(m + 1):
         table[0, j] = j
-    cells = 0
     if not do_bound:
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                sub = table[i - 1, j - 1]
-                if not match[i - 1, j - 1]:
-                    sub += 1.0
-                gap = table[i - 1, j]
-                if table[i, j - 1] < gap:
-                    gap = table[i, j - 1]
-                gap += 1.0
-                if gap < sub:
-                    sub = gap
-                table[i, j] = sub
-            cells += m
-        return table[n, m], cells
+        _edr_fill(table, match)
+        return table[n, m], n * m
+    cells = 0
     row_rem = np.zeros(n + 1)
     col_rem = np.zeros(m + 1)
     acc = 0.0
@@ -492,33 +523,36 @@ def _edr_dp(match, cutoff):
 # ----------------------------------------------------------------------- LCSS
 
 @njit(cache=True)
+def _lcss_fill(table, match):
+    """Common-length fill of a bordered LCSS table over a boolean match matrix."""
+    n, m = match.shape
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            if match[i - 1, j - 1]:
+                table[i, j] = table[i - 1, j - 1] + 1.0
+            else:
+                up = table[i - 1, j]
+                left = table[i, j - 1]
+                table[i, j] = up if up > left else left
+
+
+@njit(cache=True)
 def _lcss_dp(match, cutoff):
     """Row-wise LCSS DP; tracks the admissible *upper* bound on the remaining
     common length (capped by remaining rows/columns and ε-matchable counts),
     converted to a lower bound on the distance ``1 - common/shorter``."""
     n, m = match.shape
     shorter = float(n if n < m else m)
-    do_bound = np.isfinite(cutoff)
-    if do_bound:
-        # LCSS maximizes, so the dead marker is -inf (never wins a max, and a
-        # match step through a dead diagonal stays dead).
-        table = np.full((n + 1, m + 1), -_INF)
-        table[0, :] = 0.0
-        table[:, 0] = 0.0
-    else:
+    if not np.isfinite(cutoff):
         table = np.zeros((n + 1, m + 1))
+        _lcss_fill(table, match)
+        return 1.0 - table[n, m] / shorter, n * m
+    # LCSS maximizes, so the dead marker is -inf (never wins a max, and a
+    # match step through a dead diagonal stays dead).
+    table = np.full((n + 1, m + 1), -_INF)
+    table[0, :] = 0.0
+    table[:, 0] = 0.0
     cells = 0
-    if not do_bound:
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                if match[i - 1, j - 1]:
-                    table[i, j] = table[i - 1, j - 1] + 1.0
-                else:
-                    up = table[i - 1, j]
-                    left = table[i, j - 1]
-                    table[i, j] = up if up > left else left
-            cells += m
-        return 1.0 - table[n, m] / shorter, cells
     row_rem = np.zeros(n + 1)
     col_rem = np.zeros(m + 1)
     acc = 0.0
@@ -604,51 +638,55 @@ def _lcss_dp(match, cutoff):
 # -------------------------------------------------------------------- Fréchet
 
 @njit(cache=True)
+def _frechet_fill(table, cost):
+    """Min-max fill of a bordered discrete-Fréchet table."""
+    n, m = cost.shape
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            reach = table[i - 1, j]
+            if table[i, j - 1] < reach:
+                reach = table[i, j - 1]
+            if table[i - 1, j - 1] < reach:
+                reach = table[i - 1, j - 1]
+            c = cost[i - 1, j - 1]
+            table[i, j] = reach if reach > c else c
+
+
+@njit(cache=True)
 def _frechet_dp(cost, cutoff):
     """Row-wise min-max DP; the running maximum must still absorb every
     remaining row/column minimum (suffix maxima), plus the exact final cell."""
     n, m = cost.shape
-    do_bound = np.isfinite(cutoff)
-    row_rem = np.zeros(n + 1)
-    col_rem = np.zeros(m + 1)
-    if do_bound:
-        rowmin = np.empty(n)
-        colmin = np.full(m, _INF)
-        for i in range(n):
-            best = _INF
-            for j in range(m):
-                c = cost[i, j]
-                if c < best:
-                    best = c
-                if c < colmin[j]:
-                    colmin[j] = c
-            rowmin[i] = best
-        tail = cost[n - 1, m - 1]
-        acc = tail
-        for i in range(n - 1, -1, -1):
-            row_rem[i] = acc
-            if i >= 1 and rowmin[i - 1] > acc:
-                acc = rowmin[i - 1]
-        acc = tail
-        for j in range(m - 1, -1, -1):
-            col_rem[j] = acc
-            if j >= 1 and colmin[j - 1] > acc:
-                acc = colmin[j - 1]
     table = np.full((n + 1, m + 1), _INF)
     table[0, 0] = 0.0
+    if not np.isfinite(cutoff):
+        _frechet_fill(table, cost)
+        return table[n, m], n * m
+    rowmin = np.empty(n)
+    colmin = np.full(m, _INF)
+    for i in range(n):
+        best = _INF
+        for j in range(m):
+            c = cost[i, j]
+            if c < best:
+                best = c
+            if c < colmin[j]:
+                colmin[j] = c
+        rowmin[i] = best
+    tail = cost[n - 1, m - 1]
+    row_rem = np.zeros(n + 1)
+    col_rem = np.zeros(m + 1)
+    acc = tail
+    for i in range(n - 1, -1, -1):
+        row_rem[i] = acc
+        if i >= 1 and rowmin[i - 1] > acc:
+            acc = rowmin[i - 1]
+    acc = tail
+    for j in range(m - 1, -1, -1):
+        col_rem[j] = acc
+        if j >= 1 and colmin[j - 1] > acc:
+            acc = colmin[j - 1]
     cells = 0
-    if not do_bound:
-        for i in range(1, n + 1):
-            for j in range(1, m + 1):
-                reach = table[i - 1, j]
-                if table[i, j - 1] < reach:
-                    reach = table[i, j - 1]
-                if table[i - 1, j - 1] < reach:
-                    reach = table[i - 1, j - 1]
-                c = cost[i - 1, j - 1]
-                table[i, j] = reach if reach > c else c
-            cells += m
-        return table[n, m], cells
     # Border: every path starts at (0, 0).
     rem0 = row_rem[0] if row_rem[0] > col_rem[0] else col_rem[0]
     if rem0 > cutoff:
@@ -691,7 +729,7 @@ def _frechet_dp(cost, cutoff):
 # --------------------------------------------------- point-set (non-DP) pairs
 
 @njit(cache=True)
-def _hausdorff_pair(a, b, cutoff):
+def _hausdorff_value(a, b, cutoff):
     """Symmetric Hausdorff with early exit once the running max exceeds cutoff."""
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     worst = 0.0
@@ -764,12 +802,12 @@ def _sspd_one_sided(a, b):
 
 
 @njit(cache=True)
-def _sspd_pair(a, b):
+def _sspd_value(a, b):
     return 0.5 * (_sspd_one_sided(a, b) + _sspd_one_sided(b, a))
 
 
 @njit(cache=True)
-def _tp_pair(a, b, lambda_spatial, time_scale):
+def _tp_value(a, b, lambda_spatial, time_scale):
     """TP: symmetric mean closest-pair blend over spatio-temporal point costs."""
     n, m = a.shape[0], b.shape[0]
     colmin = np.full(m, _INF)
@@ -943,7 +981,7 @@ def hausdorff_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     arrays_a = [_contiguous(a) for a in _spatial_batch(trajectories_a)]
     arrays_b = [_contiguous(b) for b in _spatial_batch(trajectories_b)]
     out = np.array([
-        _hausdorff_pair(a, b, cutoffs[index])
+        _hausdorff_value(a, b, cutoffs[index])
         for index, (a, b) in enumerate(zip(arrays_a, arrays_b))
     ])
     if thresholds is not None:
@@ -959,7 +997,7 @@ def sspd_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     _as_thresholds(thresholds, len(trajectories_a))  # validate shape only
     arrays_a = [_contiguous(a) for a in _spatial_batch(trajectories_a)]
     arrays_b = [_contiguous(b) for b in _spatial_batch(trajectories_b)]
-    return np.array([_sspd_pair(a, b) for a, b in zip(arrays_a, arrays_b)])
+    return np.array([_sspd_value(a, b) for a, b in zip(arrays_a, arrays_b)])
 
 
 def tp_batch(trajectories_a: Sequence, trajectories_b: Sequence,
@@ -974,59 +1012,9 @@ def tp_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     arrays_b = [_contiguous(b) for b in
                 _spatiotemporal_batch(trajectories_b, "tp_distance")]
     return np.array([
-        _tp_pair(a, b, float(lambda_spatial), float(time_scale))
+        _tp_value(a, b, float(lambda_spatial), float(time_scale))
         for a, b in zip(arrays_a, arrays_b)
     ])
-
-
-# ----------------------------------------------------------- per-pair facade
-
-def _single(batch_func, trajectory_a, trajectory_b, threshold=None, **kwargs):
-    thresholds = None if threshold is None else [threshold]
-    return float(batch_func([trajectory_a], [trajectory_b],
-                            thresholds=thresholds, **kwargs)[0])
-
-
-def dtw_pair(trajectory_a, trajectory_b, band=None, threshold=None) -> float:
-    return _single(dtw_batch, trajectory_a, trajectory_b, threshold, band=band)
-
-
-def erp_pair(trajectory_a, trajectory_b, gap=None, threshold=None) -> float:
-    return _single(erp_batch, trajectory_a, trajectory_b, threshold, gap=gap)
-
-
-def edr_pair(trajectory_a, trajectory_b, epsilon: float = 0.25,
-             threshold=None) -> float:
-    return _single(edr_batch, trajectory_a, trajectory_b, threshold, epsilon=epsilon)
-
-
-def lcss_pair(trajectory_a, trajectory_b, epsilon: float = 0.25,
-              threshold=None) -> float:
-    return _single(lcss_batch, trajectory_a, trajectory_b, threshold, epsilon=epsilon)
-
-
-def frechet_pair(trajectory_a, trajectory_b, threshold=None) -> float:
-    return _single(frechet_batch, trajectory_a, trajectory_b, threshold)
-
-
-def dita_pair(trajectory_a, trajectory_b, lambda_spatial: float = 0.5,
-              time_scale: float = 1.0, threshold=None) -> float:
-    return _single(dita_batch, trajectory_a, trajectory_b, threshold,
-                   lambda_spatial=lambda_spatial, time_scale=time_scale)
-
-
-def hausdorff_pair(trajectory_a, trajectory_b, threshold=None) -> float:
-    return _single(hausdorff_batch, trajectory_a, trajectory_b, threshold)
-
-
-def sspd_pair(trajectory_a, trajectory_b, threshold=None) -> float:
-    return _single(sspd_batch, trajectory_a, trajectory_b, threshold)
-
-
-def tp_pair(trajectory_a, trajectory_b, lambda_spatial: float = 0.5,
-            time_scale: float = 1.0, threshold=None) -> float:
-    return _single(tp_batch, trajectory_a, trajectory_b, threshold,
-                   lambda_spatial=lambda_spatial, time_scale=time_scale)
 
 
 #: Batch kernels by measure name — the numba backend's kernel table.
@@ -1042,19 +1030,6 @@ BATCH_KERNELS = {
     "tp": tp_batch,
 }
 
-#: Per-pair kernels by measure name (the serial strategy's callables).
-PAIR_KERNELS = {
-    "dtw": dtw_pair,
-    "erp": erp_pair,
-    "edr": edr_pair,
-    "lcss": lcss_pair,
-    "frechet": frechet_pair,
-    "dita": dita_pair,
-    "hausdorff": hausdorff_pair,
-    "sspd": sspd_pair,
-    "tp": tp_pair,
-}
-
 #: Measures whose compiled kernels honour the in-kernel abandoning contract
 #: (SSPD and TP accept ``thresholds`` but always compute exactly).
 THRESHOLD_MEASURES = frozenset({
@@ -1062,198 +1037,34 @@ THRESHOLD_MEASURES = frozenset({
 })
 
 
-# --------------------------------------------------- streaming frontier extends
-#
-# Prefix-incremental extends: each extends a pair's DP frontier ``column``
-# in place by the columns of ``b_new``, using the rolling-diagonal trick.
-# Cell-for-cell the same IEEE arithmetic and operand order as the batch
-# kernels, so a frontier extended here is bitwise identical to a from-scratch
-# batch-kernel call on the extended window (the streaming parity suite checks
-# it against the batch kernels and the numpy stacked sweep).  Each returns
-# the number of DP cells computed; the StreamingEngine folds the counts into
-# the ``stream.*`` registry counters.
+# ------------------------------------------------------- stacked table fill
 
-@njit(cache=True)
-def _stream_dtw(a, b_new, column):
-    n, p, d = a.shape[0], b_new.shape[0], a.shape[1]
-    for jj in range(p):
-        diag = column[0]
-        column[0] = _INF
-        for i in range(1, n + 1):
-            s = 0.0
-            for ax in range(d):
-                delta = a[i - 1, ax] - b_new[jj, ax]
-                s += delta * delta
-            left = column[i]
-            best = column[i - 1]
-            if left < best:
-                best = left
-            if diag < best:
-                best = diag
-            column[i] = best + np.sqrt(s)
-            diag = left
-    return n * p
+_FILLS = {"edr": _edr_fill, "lcss": _lcss_fill, "frechet": _frechet_fill}
 
 
-@njit(cache=True)
-def _stream_dtw_banded(a, b_new, column, m_prev, radius):
-    n, p, d = a.shape[0], b_new.shape[0], a.shape[1]
-    cells = 0
-    for jj in range(p):
-        j = m_prev + jj + 1
-        lo = j - radius if j - radius > 1 else 1
-        hi = j + radius if j + radius < n else n
-        diag = column[0]
-        column[0] = _INF
-        for i in range(1, n + 1):
-            left = column[i]
-            if lo <= i <= hi:
-                s = 0.0
-                for ax in range(d):
-                    delta = a[i - 1, ax] - b_new[jj, ax]
-                    s += delta * delta
-                best = column[i - 1]
-                if left < best:
-                    best = left
-                if diag < best:
-                    best = diag
-                column[i] = best + np.sqrt(s)
-                cells += 1
-            else:
-                column[i] = _INF
-            diag = left
-    return cells
+def sweep_table(mode: str, table: np.ndarray, data: np.ndarray,
+                gap_cost_a: np.ndarray | None = None,
+                gap_cost_b: np.ndarray | None = None) -> None:
+    """Fill each stacked table of ``table`` in place with ``mode``'s jitted fill.
 
-
-@njit(cache=True)
-def _stream_erp(a, b_new, column, gap_cost_a, gap_x, gap_y):
-    n, p, d = a.shape[0], b_new.shape[0], a.shape[1]
-    for jj in range(p):
-        dx = b_new[jj, 0] - gap_x
-        dy = b_new[jj, 1] - gap_y
-        gap_b = np.sqrt(dx * dx + dy * dy)
-        diag = column[0]
-        column[0] = column[0] + gap_b
-        for i in range(1, n + 1):
-            s = 0.0
-            for ax in range(d):
-                delta = a[i - 1, ax] - b_new[jj, ax]
-                s += delta * delta
-            left = column[i]
-            value = diag + np.sqrt(s)
-            delete_a = column[i - 1] + gap_cost_a[i - 1]
-            delete_b = left + gap_b
-            if delete_b < delete_a:
-                delete_a = delete_b
-            if delete_a < value:
-                value = delete_a
-            column[i] = value
-            diag = left
-    return n * p
-
-
-@njit(cache=True)
-def _stream_edr(a, b_new, column, epsilon):
-    n, p, d = a.shape[0], b_new.shape[0], a.shape[1]
-    for jj in range(p):
-        diag = column[0]
-        column[0] = column[0] + 1.0
-        for i in range(1, n + 1):
-            match = True
-            for ax in range(d):
-                if abs(a[i - 1, ax] - b_new[jj, ax]) > epsilon:
-                    match = False
-                    break
-            left = column[i]
-            value = diag if match else diag + 1.0
-            gap = column[i - 1]
-            if left < gap:
-                gap = left
-            gap = gap + 1.0
-            if gap < value:
-                value = gap
-            column[i] = value
-            diag = left
-    return n * p
-
-
-@njit(cache=True)
-def _stream_lcss(a, b_new, column, epsilon):
-    n, p, d = a.shape[0], b_new.shape[0], a.shape[1]
-    for jj in range(p):
-        diag = column[0]
-        for i in range(1, n + 1):
-            match = True
-            for ax in range(d):
-                if abs(a[i - 1, ax] - b_new[jj, ax]) > epsilon:
-                    match = False
-                    break
-            left = column[i]
-            if match:
-                column[i] = diag + 1.0
-            elif column[i - 1] > left:
-                column[i] = column[i - 1]
-            diag = left
-    return n * p
-
-
-@njit(cache=True)
-def _stream_frechet(a, b_new, column):
-    n, p, d = a.shape[0], b_new.shape[0], a.shape[1]
-    for jj in range(p):
-        diag = column[0]
-        column[0] = _INF
-        for i in range(1, n + 1):
-            s = 0.0
-            for ax in range(d):
-                delta = a[i - 1, ax] - b_new[jj, ax]
-                s += delta * delta
-            cost = np.sqrt(s)
-            left = column[i]
-            reachable = column[i - 1]
-            if left < reachable:
-                reachable = left
-            if diag < reachable:
-                reachable = diag
-            column[i] = cost if cost > reachable else reachable
-            diag = left
-    return n * p
-
-
-@njit(cache=True)
-def _stream_dita(a, b_new, column, lambda_spatial, time_scale):
-    n, p = a.shape[0], b_new.shape[0]
-    for jj in range(p):
-        diag = column[0]
-        column[0] = _INF
-        for i in range(1, n + 1):
-            dx = a[i - 1, 0] - b_new[jj, 0]
-            dy = a[i - 1, 1] - b_new[jj, 1]
-            spatial = np.sqrt(dx * dx + dy * dy)
-            temporal = abs(a[i - 1, 2] - b_new[jj, 2]) / time_scale
-            cost = lambda_spatial * spatial + (1.0 - lambda_spatial) * temporal
-            left = column[i]
-            best = column[i - 1]
-            if left < best:
-                best = left
-            if diag < best:
-                best = diag
-            column[i] = best + cost
-            diag = left
-    return n * p
-
-
-#: Streaming frontier extensions by kernel key — the numba backend's
-#: ``stream_kernel`` table (``dtw_banded`` is the band-restricted DTW extend).
-STREAM_KERNELS = {
-    "dtw": _stream_dtw,
-    "dtw_banded": _stream_dtw_banded,
-    "erp": _stream_erp,
-    "edr": _stream_edr,
-    "lcss": _stream_lcss,
-    "frechet": _stream_frechet,
-    "dita": _stream_dita,
-}
+    The compiled counterpart of :func:`repro.engine.kernels._sweep_table`,
+    with its arguments: ``table`` is ``(rows, n+1, width+1)`` with row 0 and
+    column 0 already bordered, ``data`` the ``(rows, n, width)`` cost (or
+    match) tensor, ``gap_cost_a`` ``(rows or 1, n)`` and ``gap_cost_b``
+    ``(rows, width)`` ERP's gap costs.  Out-of-band DTW costs arrive as
+    ``+inf``, so the DTW fill runs every column.  Same cells, same
+    arithmetic per cell: the filled tables are bitwise the sweep's.
+    """
+    rows, n, width = data.shape
+    for row in range(rows):
+        if mode == "dtw":
+            _dtw_fill(table[row], data[row], n + width)
+        elif mode == "erp":
+            _erp_fill(table[row], data[row],
+                      gap_cost_a[row if len(gap_cost_a) > 1 else 0],
+                      gap_cost_b[row])
+        else:
+            _FILLS[mode](table[row], data[row])
 
 
 # -------------------------------------------------------------------- warm-up
@@ -1291,18 +1102,15 @@ def warmup() -> float:
         _edr_dp(match, cutoff)
         _lcss_dp(match, cutoff)
         _frechet_dp(cost, cutoff)
-        _hausdorff_pair(s, s, cutoff)
+        _hausdorff_value(s, s, cutoff)
     _st_cost_matrix(a, a, 0.5, 1.0)
-    _sspd_pair(s, s)
-    _tp_pair(a, a, 0.5, 1.0)
-    column = np.array([0.0, _INF, _INF])
-    _stream_dtw(s, s, column.copy())
-    _stream_dtw_banded(s, s, column.copy(), 0, 1)
-    _stream_erp(s, s, np.array([0.0, 1.0, 2.0]), gaps, 0.0, 0.0)
-    _stream_edr(s, s, np.array([0.0, 1.0, 2.0]), 0.25)
-    _stream_lcss(s, s, np.zeros(3), 0.25)
-    _stream_frechet(s, s, column.copy())
-    _stream_dita(a, a, column.copy(), 0.5, 1.0)
+    _sspd_value(s, s)
+    _tp_value(a, a, 0.5, 1.0)
+    table = np.zeros((1, 3, 3))
+    for mode, data in (("dtw", cost), ("frechet", cost), ("edr", match),
+                       ("lcss", match)):
+        sweep_table(mode, table, data[None])
+    sweep_table("erp", table, cost[None], gaps[None], gaps[None])
     _WARMUP_SECONDS = time.perf_counter() - start
     _WARMED = True
     return _WARMUP_SECONDS

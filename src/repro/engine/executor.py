@@ -59,7 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from ..config import EnvError, env_int, env_raw
-from ..distances.base import get_distance, get_kernel
+from ..distances.base import get_distance
 from ..obs import registry as obs_registry
 from ..obs import spans as obs_spans
 from ..obs.spans import span
@@ -145,24 +145,6 @@ def as_canonical_arrays(trajectories: Sequence) -> CanonicalArrays:
         for t in trajectories)
 
 
-def _pair_function(measure, use_kernels: bool, backend=None):
-    """Per-pair distance callable: vectorized kernel if allowed, else the reference.
-
-    ``backend`` (a resolved :class:`~repro.engine.backends.KernelBackend`) gets
-    first pick; a measure the backend does not cover falls through to the
-    reference numpy kernel, then to the reference distance function.
-    """
-    if callable(measure):
-        return measure
-    if use_kernels:
-        kernel = backend.pair_kernel(measure) if backend is not None else None
-        if kernel is None:
-            kernel = get_kernel(measure)
-        if kernel is not None:
-            return kernel
-    return get_distance(measure)
-
-
 def _chunk_values(list_a: Sequence, list_b: Sequence, measure, measure_kwargs: dict,
                   use_kernels: bool, thresholds=None, backend=None) -> np.ndarray:
     """Distances for aligned trajectory lists, batched when a batch kernel exists.
@@ -185,7 +167,7 @@ def _chunk_values(list_a: Sequence, list_b: Sequence, measure, measure_kwargs: d
                                             **measure_kwargs), dtype=np.float64)
                 return np.asarray(batch(list_a, list_b, **measure_kwargs),
                                   dtype=np.float64)
-    func = _pair_function(measure, use_kernels, backend)
+    func = measure if callable(measure) else get_distance(measure)
     return np.array([func(a, b, **measure_kwargs) for a, b in zip(list_a, list_b)],
                     dtype=np.float64)
 
@@ -505,23 +487,15 @@ class MatrixEngine:
 
     def _run_serial(self, arrays_a, arrays_b, rows, cols, measure,
                     measure_kwargs, thresholds, backend) -> np.ndarray:
-        """The one-pair-at-a-time reference path (and the ladder's last rung)."""
-        func = _pair_function(measure, self.use_kernels, backend)
-        # The per-pair kernels expose abandoning as a scalar threshold=;
-        # only a measure whose *resolved* callable came from a backend that
-        # declares threshold support for it is known to honour the keyword
-        # — the reference fallback must never see it.
-        if (thresholds is not None and isinstance(measure, str)
-                and backend is not None
-                and func is backend.pair_kernel(measure)
-                and backend.supports_threshold(measure)):
-            return np.array([
-                func(arrays_a[i], arrays_b[j],
-                     threshold=float(thresholds[index]), **measure_kwargs)
-                for index, (i, j) in enumerate(zip(rows, cols))
-            ], dtype=np.float64)
-        return np.array([func(arrays_a[i], arrays_b[j], **measure_kwargs)
-                         for i, j in zip(rows, cols)], dtype=np.float64)
+        """The one-pair-at-a-time path (and the ladder's last rung): each pair
+        runs as a one-pair chunk, thresholds and all."""
+        return np.array([
+            _chunk_values([arrays_a[i]], [arrays_b[j]], measure, measure_kwargs,
+                          self.use_kernels,
+                          thresholds=None if thresholds is None
+                          else thresholds[index:index + 1], backend=backend)[0]
+            for index, (i, j) in enumerate(zip(rows, cols))
+        ], dtype=np.float64)
 
     def _run(self, arrays_a, arrays_b, rows, cols, measure, measure_kwargs,
              thresholds=None, arena=None) -> np.ndarray:

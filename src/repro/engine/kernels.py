@@ -11,13 +11,15 @@ the per-operation NumPy overhead across the batch — this is what the engine's
 
 Every kernel performs cell-for-cell the same arithmetic as its reference
 implementation, so results agree to floating-point round-off (the parity suite
-enforces 1e-9).  Kernels are registered in :mod:`repro.distances.base` next to the
-reference functions; pairwise kernels are thin wrappers over the batch-of-one case so
-the two paths cannot drift apart.
+enforces 1e-9).  Kernels are looked up by measure name (:func:`get_batch_kernel`);
+there is no per-pair variant — a single pair is a one-pair batch, which is how the
+engine's ``serial`` strategy runs it.
 
 Each recurrence exists once: a per-mode table set-up (:func:`_initial_table`) and a
 per-mode diagonal step (:data:`_STEPS`) shared by the plain and the τ-aware path of
-the one sweep, :func:`_sweep`.
+the one sweep, :func:`_sweep`.  The plain fill, :func:`_sweep_table`, is also the
+numpy backend's :meth:`~repro.engine.backends.KernelBackend.sweep_table`, which the
+streaming engine runs over stacked tables seeded with each pair's DP frontier.
 
 ``dtw`` additionally accepts a Sakoe–Chiba ``band`` radius: cells with
 ``|i - j| > band`` get ``+inf`` cost, so their table cells stay ``+inf`` exactly as if
@@ -57,17 +59,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..distances.base import as_points, register_kernel
+from ..distances.base import as_points
 from ..distances.spatiotemporal import spatiotemporal_point_cost
 from ..obs import registry as obs_registry
 
 __all__ = [
-    "dtw_kernel",
-    "erp_kernel",
-    "edr_kernel",
-    "lcss_kernel",
-    "frechet_kernel",
-    "dita_kernel",
     "dtw_batch",
     "erp_batch",
     "edr_batch",
@@ -642,15 +638,6 @@ def dtw_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     return _sweep("dtw", cost, lengths_a, lengths_b, thresholds)
 
 
-@register_kernel("dtw")
-def dtw_kernel(trajectory_a, trajectory_b, band: int | None = None,
-               threshold: float | None = None) -> float:
-    """Vectorized (optionally banded) DTW distance between two trajectories."""
-    thresholds = None if threshold is None else [threshold]
-    return float(dtw_batch([trajectory_a], [trajectory_b], band=band,
-                           thresholds=thresholds)[0])
-
-
 # ------------------------------------------------------------------------- ERP
 
 @_register_batch("erp")
@@ -667,15 +654,6 @@ def erp_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     cost = _euclidean_cost(a, b)
     return _sweep("erp", cost, lengths_a, lengths_b, thresholds,
                   gap_cost_a=gap_cost_a, gap_cost_b=gap_cost_b)
-
-
-@register_kernel("erp")
-def erp_kernel(trajectory_a, trajectory_b, gap=None,
-               threshold: float | None = None) -> float:
-    """Vectorized ERP distance with reference (gap) point ``gap``."""
-    thresholds = None if threshold is None else [threshold]
-    return float(erp_batch([trajectory_a], [trajectory_b], gap=gap,
-                           thresholds=thresholds)[0])
 
 
 # ------------------------------------------------------------------- EDR, LCSS
@@ -708,15 +686,6 @@ def edr_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     return _sweep("edr", match, lengths_a, lengths_b, thresholds)
 
 
-@register_kernel("edr")
-def edr_kernel(trajectory_a, trajectory_b, epsilon: float = 0.25,
-               threshold: float | None = None) -> float:
-    """Vectorized EDR distance with matching threshold ``epsilon``."""
-    thresholds = None if threshold is None else [threshold]
-    return float(edr_batch([trajectory_a], [trajectory_b], epsilon=epsilon,
-                           thresholds=thresholds)[0])
-
-
 @_register_batch("lcss")
 def lcss_batch(trajectories_a: Sequence, trajectories_b: Sequence,
                epsilon: float = 0.25, thresholds=None) -> np.ndarray:
@@ -729,15 +698,6 @@ def lcss_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     b, lengths_b = _pad_points(_spatial_batch(trajectories_b))
     match = _match_tensor(a, b, epsilon)
     return _sweep("lcss", match, lengths_a, lengths_b, thresholds)
-
-
-@register_kernel("lcss")
-def lcss_kernel(trajectory_a, trajectory_b, epsilon: float = 0.25,
-                threshold: float | None = None) -> float:
-    """Vectorized LCSS distance in ``[0, 1]``."""
-    thresholds = None if threshold is None else [threshold]
-    return float(lcss_batch([trajectory_a], [trajectory_b], epsilon=epsilon,
-                            thresholds=thresholds)[0])
 
 
 # --------------------------------------------------------------------- Fréchet
@@ -757,15 +717,6 @@ def frechet_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     b, lengths_b = _pad_points(_spatial_batch(trajectories_b))
     cost = _euclidean_cost(a, b)
     return _sweep("frechet", cost, lengths_a, lengths_b, thresholds)
-
-
-@register_kernel("frechet")
-def frechet_kernel(trajectory_a, trajectory_b,
-                   threshold: float | None = None) -> float:
-    """Vectorized discrete Fréchet distance."""
-    thresholds = None if threshold is None else [threshold]
-    return float(frechet_batch([trajectory_a], [trajectory_b],
-                               thresholds=thresholds)[0])
 
 
 # ------------------------------------------------------------------------ DITA
@@ -789,13 +740,3 @@ def dita_batch(trajectories_a: Sequence, trajectories_b: Sequence,
     # DITA shares DTW's min-plus recurrence over its blended cost tensor, but
     # its telemetry counts under its own measure name.
     return _sweep("dtw", cost, lengths_a, lengths_b, thresholds, measure="dita")
-
-
-@register_kernel("dita")
-def dita_kernel(trajectory_a, trajectory_b, lambda_spatial: float = 0.5,
-                time_scale: float = 1.0, threshold: float | None = None) -> float:
-    """Vectorized DITA spatio-temporal distance."""
-    thresholds = None if threshold is None else [threshold]
-    return float(dita_batch([trajectory_a], [trajectory_b],
-                            lambda_spatial=lambda_spatial, time_scale=time_scale,
-                            thresholds=thresholds)[0])

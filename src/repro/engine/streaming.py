@@ -14,7 +14,7 @@ DP: the table's column 0 is anchored at the window start, so a frontier whose
 anchor has been evicted cannot be patched — only replayed.  To amortise
 slides, the engine maintains **checkpoint frontiers** on windowed streams:
 auxiliary columns anchored at stream offsets divisible by ``K``
-(``REPRO_STREAM_CHECKPOINT``, default 64; ``<= 0`` disables).  An evict whose
+(``checkpoint_every``, default 64; ``<= 0`` disables).  An evict whose
 new head lands exactly on a checkpoint *adopts* that frontier with zero
 replayed columns; an unaligned evict falls back to a full-window replay (run
 lazily, on the next ``values()``), re-seeding checkpoints as it crosses
@@ -37,22 +37,23 @@ already excludes.
 **One advance path.**  ``values(pairs)`` is the only entry point that
 advances frontiers; ``value``, non-lazy ``append`` and ``force`` call it.  It
 collects every frontier the pairs need advanced — primaries, full-window
-replays and the checkpoints those seed — and on the numpy backend runs them
-as stacked anti-diagonal sweeps of the batch kernels' own recurrence
-(:data:`repro.engine.kernels._STEPS`), with each frontier as column 0 of its
-table.  Sweeps are grouped by (measure, pattern, measure arguments), sorted
-by delta into blocks of similar width (widths above 32 rounded up to a
-multiple of 32) and capped at about ``2**18`` cells, so the
-``_diagonal_slices`` cache sees a bounded set of shapes.  A compiled backend
-advances each frontier through its per-pair loops instead
-(:meth:`~repro.engine.backends.KernelBackend.stream_kernel`).
+replays and the checkpoints those seed — and runs them as stacked tables of
+the batch kernels' own recurrence, with each frontier as column 0 of its
+table, filled by the backend's
+:meth:`~repro.engine.backends.KernelBackend.sweep_table`: anti-diagonal
+sweeps (:data:`repro.engine.kernels._STEPS`) on numpy, the jitted row-major
+fills of the batch loops on numba.  Tables are grouped by (measure, band,
+pattern, measure arguments), sorted by delta into blocks of similar width
+(widths above 32 rounded up to a multiple of 32) and capped at about
+``2**18`` cells, so the ``_diagonal_slices`` cache sees a bounded set of
+shapes.  Every advanced frontier charges ``n·Δ`` cells on either backend.
 
 Cell counts flow into the :mod:`repro.obs` registry under ``stream.*``
 (``stream.dp_cells``, ``stream.dp_cells.<measure>``, ``stream.replays``, …),
 next to the batch kernels' ``engine.*`` counters.  Non-finite coordinates
 are rejected on the way in (``register_stream`` / ``append`` / ``watch``
-raise ``ValueError`` naming the stream): the compiled loops' ``<``
-comparisons and the sweeps' ``np.minimum`` would treat NaN differently.
+raise ``ValueError`` naming the stream): the numba fill's ``<`` comparisons
+and the numpy sweep's ``np.minimum`` would treat NaN differently.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ from typing import Hashable
 
 import numpy as np
 
-from ..config import env_int
-from ..distances.base import as_points
+from ..distances.base import as_points, checked_points
 from ..distances.spatiotemporal import (
     check_spatiotemporal_args,
     spatiotemporal_point_cost,
@@ -72,9 +72,8 @@ from ..obs import registry as obs_registry
 from . import kernels
 from .backends import resolve_backend
 
-__all__ = ["StreamingEngine", "CHECKPOINT_ENV", "DEFAULT_CHECKPOINT", "STREAM_MEASURES"]
+__all__ = ["StreamingEngine", "DEFAULT_CHECKPOINT", "STREAM_MEASURES"]
 
-CHECKPOINT_ENV = "REPRO_STREAM_CHECKPOINT"
 DEFAULT_CHECKPOINT = 64
 
 #: Measures with a prefix-incremental extension (banded DTW rides on "dtw").
@@ -155,19 +154,6 @@ def _frontier_bound(measure: str, column: np.ndarray, n: int, m: int,
     return float(column.min())
 
 
-def _checked_points(points, what: str) -> np.ndarray:
-    """``points`` as an ``(n, d>=2)`` float64 array of finite coordinates."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim == 1:
-        points = points[None, :]
-    if points.ndim != 2 or points.shape[1] < 2:
-        raise ValueError(f"{what} must form an (n, d>=2) array, "
-                         f"got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError(f"{what} contain non-finite coordinates")
-    return points
-
-
 #: Cell budget of one stacked extend sweep (rows × n × padded width).
 _BLOCK_CELLS = 1 << 18
 #: Sweep widths above this round up to a multiple of it, so the
@@ -203,13 +189,6 @@ def _plan_blocks(deltas: list[int], n: int) -> list[tuple[int, list[int]]]:
                 continue
         blocks.append((_padded_width(deltas[row]), [row]))
     return blocks
-
-
-def _resolve_checkpoint(value) -> int:
-    if value is None:
-        value = env_int(CHECKPOINT_ENV, DEFAULT_CHECKPOINT)
-    value = int(value)
-    return value if value > 0 else 0
 
 
 class _Stream:
@@ -273,27 +252,28 @@ class _Frontier:
 
 
 class _Pair:
-    __slots__ = ("pair_id", "stream_id", "measure", "pattern", "kernel_key",
-                 "extend_args", "band", "gap_cost_a", "primary", "checkpoints",
-                 "spatial", "sweep_key")
+    __slots__ = ("pair_id", "stream_id", "measure", "pattern", "measure_args",
+                 "band", "gap_cost_a", "primary", "checkpoints", "spatial",
+                 "sweep_key")
 
-    def __init__(self, pair_id, stream_id, measure, pattern, kernel_key,
-                 extend_args, band, gap_cost_a, spatial):
+    def __init__(self, pair_id, stream_id, measure, pattern, measure_args,
+                 band, gap_cost_a, spatial):
         self.pair_id = pair_id
         self.stream_id = stream_id
         self.measure = measure
         self.pattern = pattern
-        self.kernel_key = kernel_key
-        self.extend_args = extend_args
+        #: Scalar measure arguments: ERP's gap point, EDR/LCSS's epsilon,
+        #: DITA's (lambda_spatial, time_scale).
+        self.measure_args = measure_args
         self.band = band
         self.gap_cost_a = gap_cost_a
         self.spatial = spatial
         self.primary: _Frontier | None = None
         self.checkpoints: dict[int, _Frontier] = {}
-        #: Pairs sharing this key advance together in one stacked sweep.
-        self.sweep_key = (kernel_key, pattern.shape, pattern.tobytes(),
-                          tuple(arg for arg in extend_args
-                                if not isinstance(arg, np.ndarray)))
+        #: Pairs sharing this key advance together in one stacked sweep
+        #: (banded and unbanded DTW never share one).
+        self.sweep_key = (measure, band is not None, pattern.shape,
+                          pattern.tobytes(), measure_args)
 
 
 class StreamingEngine:
@@ -301,7 +281,10 @@ class StreamingEngine:
 
     def __init__(self, backend=None, checkpoint_every: int | None = None):
         self._backend = resolve_backend(backend, strict=False)
-        self.checkpoint_every = _resolve_checkpoint(checkpoint_every)
+        if checkpoint_every is None:
+            checkpoint_every = DEFAULT_CHECKPOINT
+        #: Checkpoint interval K (``<= 0`` disables checkpoints).
+        self.checkpoint_every = max(int(checkpoint_every), 0)
         self._streams: dict[Hashable, _Stream] = {}
         self._pairs: dict[Hashable, _Pair] = {}
         self._by_stream: dict[Hashable, list[Hashable]] = {}
@@ -321,7 +304,8 @@ class StreamingEngine:
         if stream_id in self._streams:
             raise KeyError(f"stream {stream_id!r} already registered")
         if points is not None and len(points):
-            points = _checked_points(points, f"points of stream {stream_id!r}")
+            points = checked_points(np.atleast_2d(points),
+                                    f"points of stream {stream_id!r}")
         self._streams[stream_id] = _Stream(None, windowed)
         self._by_stream[stream_id] = []
         if points is not None and len(points):
@@ -357,20 +341,15 @@ class StreamingEngine:
         if stream_id not in self._streams:
             raise KeyError(f"unknown stream {stream_id!r}")
         spatial = measure != "dita"
-        a = as_points(pattern, spatial_only=spatial)
-        if not np.isfinite(a).all():
-            raise ValueError(f"pattern watched on stream {stream_id!r} "
-                             f"contains non-finite coordinates")
+        a = checked_points(as_points(pattern, spatial_only=spatial),
+                           f"pattern points watched on stream {stream_id!r}")
         if not spatial and a.shape[1] < 3:
             raise ValueError("dita requires patterns with a time column")
         a = np.ascontiguousarray(a)
+        band = int(band) if band is not None and measure == "dtw" else None
         gap_cost_a = None
-        if measure == "dtw":
-            kernel_key = "dtw" if band is None else "dtw_banded"
-            extend_args = ()
-            band = None if band is None else int(band)
-        elif measure == "erp":
-            kernel_key = "erp"
+        measure_args = ()
+        if measure == "erp":
             gap_point = np.zeros(2) if gap is None else \
                 np.asarray(gap, dtype=np.float64)
             if gap_point.ndim != 1 or gap_point.size < 2 \
@@ -380,26 +359,21 @@ class StreamingEngine:
                                  f"non-finite; got {gap!r}")
             gap_point = gap_point[:2]
             gap_cost_a = np.sqrt(((a - gap_point) ** 2).sum(axis=-1))
-            extend_args = (gap_cost_a, float(gap_point[0]), float(gap_point[1]))
+            measure_args = (float(gap_point[0]), float(gap_point[1]))
         elif measure in ("edr", "lcss"):
             if epsilon <= 0:
                 raise ValueError("epsilon must be positive")
-            kernel_key = measure
-            extend_args = (float(epsilon),)
-        elif measure == "frechet":
-            kernel_key = "frechet"
-            extend_args = ()
-        else:  # dita
+            measure_args = (float(epsilon),)
+        elif measure == "dita":
             check_spatiotemporal_args(lambda_spatial, time_scale)
-            kernel_key = "dita"
-            extend_args = (float(lambda_spatial), float(time_scale))
+            measure_args = (float(lambda_spatial), float(time_scale))
         if pair_id is None:
             pair_id = self._next_pair
             self._next_pair += 1
         if pair_id in self._pairs:
             raise KeyError(f"pair {pair_id!r} already watched")
-        pair = _Pair(pair_id, stream_id, measure, a, kernel_key, extend_args,
-                     band, gap_cost_a, spatial)
+        pair = _Pair(pair_id, stream_id, measure, a, measure_args, band,
+                     gap_cost_a, spatial)
         self._pairs[pair_id] = pair
         self._by_stream[stream_id].append(pair_id)
         obs_registry.counter("stream.pairs").add(1)
@@ -423,7 +397,8 @@ class StreamingEngine:
         ``{pair_id: value}``.
         """
         stream = self._streams[stream_id]
-        points = _checked_points(points, f"points appended to stream {stream_id!r}")
+        points = checked_points(np.atleast_2d(points),
+                                f"points appended to stream {stream_id!r}")
         stream.append(points)
         obs_registry.counter("stream.appends").add(1)
         obs_registry.counter("stream.append_points").add(len(points))
@@ -499,16 +474,13 @@ class StreamingEngine:
         """Exact values of many pairs over their current windows.
 
         Every frontier the pairs need advanced — each primary plus the
-        checkpoint frontiers it seeds — moves to the window end.  On the
-        numpy backend they run through stacked anti-diagonal sweeps of the
-        batch kernels' recurrence (:func:`repro.engine.kernels._sweep_table`),
-        grouped by measure, pattern and measure arguments: the table's
-        column 0 is the frontier and its columns ``1..Δ`` the stream's new
-        points.  A backend with a per-pair stream kernel advances each
-        frontier through it instead.  Each advanced frontier charges ``n·Δ``
-        cells to ``stream.dp_cells`` (banded DTW counts its out-of-band cells
-        on the sweep, as the batch kernels do, and only in-band cells on a
-        compiled backend).  Every value is bitwise the batch kernel's.
+        checkpoint frontiers it seeds — moves to the window end through
+        stacked tables filled by the backend's ``sweep_table``, grouped by
+        measure, band, pattern and measure arguments: the table's column 0 is
+        the frontier and its columns ``1..Δ`` the stream's new points.  Each
+        advanced frontier charges ``n·Δ`` cells to ``stream.dp_cells`` on
+        every backend (banded DTW counts its out-of-band cells, as the numpy
+        batch kernels do).  Every value is bitwise the batch kernel's.
         """
         pair_ids = list(pair_ids)
         rows = []
@@ -520,14 +492,7 @@ class StreamingEngine:
                 rows.append((pair, primary, stream))
                 rows += [(pair, frontier, stream) for frontier in
                          self._checkpoints_behind(pair, stream)]
-        swept = []
-        for row in rows:
-            extend = self._backend.stream_kernel(row[0].kernel_key)
-            if extend is None:
-                swept.append(row)
-            else:
-                self._advance(*row, extend)
-        self._sweep(swept)
+        self._sweep(rows)
         return np.array([self._current_value(pair_id) for pair_id in pair_ids],
                         dtype=np.float64)
 
@@ -574,24 +539,6 @@ class StreamingEngine:
                 primary.radius = radius
         return primary
 
-    def _advance(self, pair: _Pair, frontier: _Frontier, stream: _Stream,
-                 extend) -> None:
-        """Extend ``frontier`` to the window end with a per-pair stream kernel."""
-        points = stream.slice(frontier.done, stream.total)
-        if pair.spatial and points.shape[1] > 2:
-            points = points[:, :2]
-        elif not pair.spatial and points.shape[1] < 3:
-            raise ValueError("dita requires streams with a time column")
-        points = np.ascontiguousarray(points)
-        if pair.kernel_key == "dtw_banded":
-            cells = extend(pair.pattern, points, frontier.column,
-                           frontier.done - frontier.start, frontier.radius)
-        else:
-            cells = extend(pair.pattern, points, frontier.column,
-                           *pair.extend_args)
-        frontier.done = stream.total
-        _count_stream_cells(int(cells), pair.measure)
-
     def _checkpoints_behind(self, pair: _Pair, stream: _Stream) -> list[_Frontier]:
         """Create the checkpoint frontiers due through the window end on a
         windowed stream; returns every checkpoint not yet extended that far."""
@@ -625,7 +572,7 @@ class StreamingEngine:
 
     def _sweep_block(self, rows: list, deltas: list[int], width: int) -> None:
         """Advance each row's frontier by its ``delta`` columns in one stacked
-        anti-diagonal sweep of ``width`` columns (rows share a sweep key)."""
+        table fill of ``width`` columns (rows share a sweep key)."""
         pair = rows[0][0]
         a = pair.pattern
         n = a.shape[0]
@@ -643,14 +590,14 @@ class StreamingEngine:
         gap_cost_a = gap_cost_b = None
         mode = "dtw" if pair.measure == "dita" else pair.measure
         if pair.measure == "edr":
-            data = kernels._match_tensor(a[None], points, pair.extend_args[0])
+            data = kernels._match_tensor(a[None], points, pair.measure_args[0])
             table[:, 0, 1:] = corner + np.arange(1, width + 1)
         elif pair.measure == "lcss":
-            data = kernels._match_tensor(a[None], points, pair.extend_args[0])
+            data = kernels._match_tensor(a[None], points, pair.measure_args[0])
             table[:, 0, 1:] = corner
         elif pair.measure == "erp":
             data = kernels._euclidean_cost(a[None], points)
-            gap_point = np.array(pair.extend_args[1:])
+            gap_point = np.array(pair.measure_args)
             gap_cost_a = pair.gap_cost_a[None]
             gap_cost_b = np.sqrt(((points - gap_point) ** 2).sum(axis=-1))
             # Row 0 accumulates the gap costs left to right from the frontier's
@@ -660,13 +607,13 @@ class StreamingEngine:
         else:
             table[:, 0, 1:] = np.inf
             if pair.measure == "dita":
-                lambda_spatial, time_scale = pair.extend_args
+                lambda_spatial, time_scale = pair.measure_args
                 data = spatiotemporal_point_cost(
                     a, points.reshape(-1, dim), lambda_spatial, time_scale,
                 ).reshape(n, len(rows), width).transpose(1, 0, 2).copy()
             else:
                 data = kernels._euclidean_cost(a[None], points)
-            if pair.kernel_key == "dtw_banded":
+            if pair.band is not None:
                 # Out-of-band cells cost +inf (global column indices, as the
                 # batch kernel masks them), so their table cells stay +inf.
                 offsets = np.array([frontier.done - frontier.start
@@ -675,7 +622,7 @@ class StreamingEngine:
                 columns = offsets[:, None, None] + np.arange(width)[None, None, :]
                 data[np.abs(np.arange(n)[None, :, None] - columns)
                      > radii[:, None, None]] = np.inf
-        kernels._sweep_table(mode, table, data, gap_cost_a, gap_cost_b)
+        self._backend.sweep_table(mode, table, data, gap_cost_a, gap_cost_b)
         columns = table[np.arange(len(rows)), :, deltas]
         for row, ((_, frontier, _), delta) in enumerate(zip(rows, deltas)):
             frontier.column = columns[row]

@@ -42,6 +42,7 @@ import numpy as np
 from ..data.grid import Grid
 from ..data.quadtree import QuadTree
 from ..data.trajectory import BoundingBox
+from ..distances.base import checked_points
 from ..engine.executor import CanonicalArrays
 from ..obs import counter
 from ..obs.spans import span
@@ -83,11 +84,18 @@ class _Shard:
         self._agg_maxs: np.ndarray | None = None
 
 
-def _as_point_array(trajectory) -> np.ndarray:
-    points = np.asarray(getattr(trajectory, "points", trajectory), dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] < 2:
-        raise ValueError("every trajectory must be a non-empty (n, d>=2) array")
-    return np.ascontiguousarray(points)
+def _checked_arrays(trajectories, where: str) -> list[np.ndarray]:
+    """Every trajectory as a C-contiguous, non-empty ``(n, d>=2)`` float64
+    array of finite coordinates, checked before the caller mutates anything;
+    a ``ValueError`` names the offending position."""
+    arrays = []
+    for position, trajectory in enumerate(trajectories):
+        what = f"points of trajectory {position} {where}"
+        points = checked_points(trajectory, what)
+        if points.shape[0] == 0:
+            raise ValueError(f"{what} must hold at least one point")
+        arrays.append(np.ascontiguousarray(points))
+    return arrays
 
 
 class TrajectoryIndex:
@@ -97,7 +105,7 @@ class TrajectoryIndex:
                  num_columns: int = 16, num_rows: int = 16,
                  max_points: int = 32, max_depth: int = 6, margin: float = 1e-6,
                  shard_columns: int = 2, shard_rows: int = 2):
-        arrays = [_as_point_array(t) for t in trajectories]
+        arrays = _checked_arrays(trajectories, "to index")
         if not arrays:
             raise ValueError("an index needs at least one trajectory")
         # Tagged as already-canonical so every ``engine.pairs`` refinement
@@ -293,18 +301,21 @@ class TrajectoryIndex:
         tokenisers of *existing* members never change (out-of-box inserts
         clamp to edge shards/cells).
         """
-        new_arrays = [_as_point_array(t) for t in trajectories]
+        new_arrays = _checked_arrays(trajectories, "passed to insert")
         if not new_arrays:
             return np.zeros(0, dtype=np.int64)
         with span("index.insert", count=str(len(new_arrays))):
+            # Every fallible step runs before the first mutation.
+            summaries = [TrajectorySummary.of(points) for points in new_arrays]
+            keys = [self._shard_key(summary) for summary in summaries]
             start = len(self.arrays)
             touched: dict[int, list[int]] = {}
-            for offset, points in enumerate(new_arrays):
-                summary = TrajectorySummary.of(points)
+            for offset, (points, summary, key) in enumerate(
+                    zip(new_arrays, summaries, keys)):
                 self.arrays.append(points)
                 self.summaries.append(summary)
                 self._digests.append(None)
-                touched.setdefault(self._shard_key(summary), []).append(start + offset)
+                touched.setdefault(key, []).append(start + offset)
             for key, ids in touched.items():
                 shard = self._shards.get(key)
                 if shard is None:
@@ -332,7 +343,7 @@ class TrajectoryIndex:
         build of the same content would place it.
         """
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
-        new_arrays = [_as_point_array(t) for t in trajectories]
+        new_arrays = _checked_arrays(trajectories, "passed to update")
         if len(ids) != len(new_arrays):
             raise ValueError(f"update got {len(ids)} ids for "
                              f"{len(new_arrays)} trajectories")
@@ -343,13 +354,15 @@ class TrajectoryIndex:
         if ids.min() < 0 or ids.max() >= len(self.arrays):
             raise IndexError(f"update ids out of range for index of size {len(self)}")
         with span("index.update", count=str(len(ids))):
+            # Every fallible step runs before the first mutation.
+            summaries = [TrajectorySummary.of(points) for points in new_arrays]
+            new_keys = [self._shard_key(summary) for summary in summaries]
             moves: list[tuple[int, int, int]] = []  # (id, old shard, new shard)
             touched: set[int] = set()
-            for trajectory_id, points in zip(ids, new_arrays):
+            for trajectory_id, points, summary, new_key in zip(
+                    ids, new_arrays, summaries, new_keys):
                 trajectory_id = int(trajectory_id)
                 old_key = self._shard_key(self.summaries[trajectory_id])
-                summary = TrajectorySummary.of(points)
-                new_key = self._shard_key(summary)
                 self.arrays[trajectory_id] = points
                 self.summaries[trajectory_id] = summary
                 self._digests[trajectory_id] = None

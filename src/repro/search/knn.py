@@ -33,6 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..distances.base import checked_points
 from ..engine.executor import CanonicalArrays
 from ..obs import counter
 from ..obs.spans import span
@@ -235,6 +236,7 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
         :class:`~repro.search.SearchService` passes per flush) is used as-is
         and not unpinned here.  Results are bit-identical either way.
     """
+    query_points = checked_points(query, "query points")
     if not isinstance(index, TrajectoryIndex):
         index = TrajectoryIndex(index)
     if engine is None:
@@ -260,14 +262,13 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
     # disabled span measures nothing.
     start = time.perf_counter()
     with span("search.lower_bound", measure=measure):
-        bounds = index.lower_bounds(query, measure, **measure_kwargs)
+        bounds = index.lower_bounds(query_points, measure, **measure_kwargs)
     lower_bound_seconds = time.perf_counter() - start
     with span("search.index_probe", measure=measure):
         order = np.argsort(bounds, kind="stable")
         if excluded:
             order = order[~np.isin(order, list(excluded))]
 
-    query_points = np.asarray(getattr(query, "points", query), dtype=np.float64)
     owner_cache = None
     if arena is None:
         owner_cache, arena = _auto_pin_arena(index, engine, batch_size)

@@ -44,6 +44,7 @@ from typing import Mapping
 import numpy as np
 
 from ..data.trajectory import BoundingBox
+from ..distances.base import checked_points
 from ..engine.streaming import StreamingEngine
 from ..obs import counter, write_event
 from ..resilience import ResilienceError
@@ -186,16 +187,12 @@ class StreamMonitor:
         checked = {}
         for stream_id, points in appends.items():
             self._check_stream(stream_id)
-            points = np.asarray(points, dtype=np.float64)
-            if points.ndim == 1:
-                points = points[None, :]
+            points = checked_points(np.atleast_2d(points),
+                                    f"points appended to stream {stream_id}")
             width = self.index.arrays[stream_id].shape[1]
-            if points.ndim != 2 or points.shape[1] != width:
+            if points.shape[1] != width:
                 raise ValueError(f"stream {stream_id} takes (n, {width}) points, "
                                  f"got shape {points.shape}")
-            if not np.isfinite(points).all():
-                raise ValueError(f"points appended to stream {stream_id} "
-                                 f"contain non-finite coordinates")
             checked[stream_id] = points
         return checked
 

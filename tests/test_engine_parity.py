@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 from repro import distances as D
-from repro.engine import MatrixEngine, get_batch_kernel
+from repro.engine import MatrixEngine, available_batch_kernels, get_batch_kernel
 from repro.violation import metrics as VM
 
 TOLERANCE = 1e-9
+
+
+def _one_pair(measure):
+    """``measure``'s batch kernel run as a one-pair batch (a float)."""
+    batch = get_batch_kernel(measure)
+    return lambda a, b, **kwargs: float(batch([a], [b], **kwargs)[0])
 
 #: (measure, kwargs, needs_time)
 KERNEL_CASES = [
@@ -50,8 +56,8 @@ class TestKernelParity:
         measure, kwargs, with_time = case
         rng = np.random.default_rng(hash((measure, lengths)) % (2 ** 32))
         reference = D.get_distance(measure)
-        kernel = D.get_kernel(measure)
-        assert kernel is not None
+        assert get_batch_kernel(measure) is not None
+        kernel = _one_pair(measure)
         for trial in range(3):
             a = _random_trajectory(rng, lengths[0], with_time)
             b = _random_trajectory(rng, lengths[1], with_time)
@@ -74,19 +80,19 @@ class TestKernelParity:
 
     def test_kernel_registered_for_every_dp_measure(self):
         for measure in ("dtw", "erp", "edr", "lcss", "frechet", "dita"):
-            assert measure in D.available_kernels()
+            assert measure in available_batch_kernels()
 
     def test_epsilon_validation_matches_reference(self):
         a = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            D.get_kernel("edr")(a, a, epsilon=0.0)
+            _one_pair("edr")(a, a, epsilon=0.0)
         with pytest.raises(ValueError):
-            D.get_kernel("lcss")(a, a, epsilon=-1.0)
+            _one_pair("lcss")(a, a, epsilon=-1.0)
 
     def test_dita_requires_time_column(self):
         a = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            D.get_kernel("dita")(a, a)
+            _one_pair("dita")(a, a)
 
 
 class TestBandedDTW:
@@ -94,27 +100,27 @@ class TestBandedDTW:
         rng = np.random.default_rng(0)
         a, b = rng.random((21, 2)), rng.random((17, 2))
         full = D.dtw_distance(a, b)
-        assert D.get_kernel("dtw")(a, b, band=100) == pytest.approx(full, abs=TOLERANCE)
+        assert _one_pair("dtw")(a, b, band=100) == pytest.approx(full, abs=TOLERANCE)
 
     def test_narrow_band_never_below_full_dtw(self):
         rng = np.random.default_rng(1)
         a, b = rng.random((20, 2)), rng.random((20, 2))
         full = D.dtw_distance(a, b)
         for band in (0, 1, 3, 7):
-            banded = D.get_kernel("dtw")(a, b, band=band)
+            banded = _one_pair("dtw")(a, b, band=band)
             assert np.isfinite(banded)
             assert banded >= full - TOLERANCE
 
     def test_band_widened_for_unequal_lengths(self):
         rng = np.random.default_rng(2)
         a, b = rng.random((30, 2)), rng.random((5, 2))
-        assert np.isfinite(D.get_kernel("dtw")(a, b, band=0))
+        assert np.isfinite(_one_pair("dtw")(a, b, band=0))
 
     @pytest.mark.parametrize("band", [0, 2, 5])
     def test_banded_reference_matches_banded_kernel(self, band):
         rng = np.random.default_rng(4)
         a, b = rng.random((18, 2)), rng.random((14, 2))
-        assert D.get_kernel("dtw")(a, b, band=band) == pytest.approx(
+        assert _one_pair("dtw")(a, b, band=band) == pytest.approx(
             D.dtw_distance(a, b, band=band), abs=TOLERANCE)
 
     @pytest.mark.parametrize("band", [0, 2, 5])

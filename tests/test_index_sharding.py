@@ -248,3 +248,51 @@ class TestUpdate:
             index.update([-1], [spatial[10]])
         index.update([], [])
         assert index.generation == 0  # rejected/empty updates leave no trace
+
+
+def _poisoned(points, value):
+    bad = points.copy()
+    bad[1, 0] = value
+    return bad
+
+
+def _snapshot(index):
+    return (len(index), index.generation, index.fingerprint,
+            [array.tobytes() for array in index.arrays],
+            sorted((key, shard.members.tolist())
+                   for key, shard in index._shards.items()))
+
+
+class TestNonFiniteInput:
+    """A rejected write leaves the index exactly as it was; a non-finite
+    query never reaches the bounds or the kernels."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_failed_insert_leaves_the_index_unchanged(self, spatial, value):
+        index = TrajectoryIndex(spatial[:10])
+        before = _snapshot(index)
+        with pytest.raises(ValueError, match="trajectory 1 passed to insert"):
+            index.insert([spatial[10], _poisoned(spatial[11], value)])
+        assert _snapshot(index) == before
+        result = knn_search(index, spatial[12], 3, engine=MatrixEngine(cache=None))
+        assert np.isfinite(result.distances).all()
+        assert result.indices.max() < 10
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_failed_update_leaves_the_index_unchanged(self, spatial, value):
+        index = TrajectoryIndex(spatial[:10])
+        before = _snapshot(index)
+        with pytest.raises(ValueError, match="trajectory 1 passed to update"):
+            index.update([0, 3], [spatial[20], _poisoned(spatial[21], value)])
+        assert _snapshot(index) == before
+
+    def test_constructor_names_the_trajectory(self, spatial):
+        with pytest.raises(ValueError, match="trajectory 2 to index"):
+            TrajectoryIndex([spatial[0], spatial[1], _poisoned(spatial[2], np.nan)])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_knn_search_rejects_a_non_finite_query(self, spatial, value):
+        index = TrajectoryIndex(spatial[:10])
+        with pytest.raises(ValueError, match="query points contain non-finite"):
+            knn_search(index, _poisoned(spatial[12], value), 3,
+                       engine=MatrixEngine(cache=None))

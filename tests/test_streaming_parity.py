@@ -1,8 +1,8 @@
 """Property suite for the streaming engine: incremental DP ≡ from-scratch.
 
 Hypothesis drives random append/slide schedules against every streaming
-measure on both kernel backends (without numba installed the compiled extend
-loops run as plain Python through the ``njit`` stub — same arithmetic, same
+measure on both kernel backends (without numba installed the compiled table
+fills run as plain Python through the ``njit`` stub — same arithmetic, same
 code paths) and pins the subsystem's contracts:
 
 * after every operation, :meth:`StreamingEngine.value` equals the batch
@@ -17,9 +17,11 @@ code paths) and pins the subsystem's contracts:
 * the numpy stacked sweep behind :meth:`StreamingEngine.values`, over many
   streams with mixed deltas (full-window replays next to one-point appends),
   is bitwise equal to the batch kernel and leaves every frontier and
-  checkpoint bitwise where the compiled per-pair loops leave them, charges
-  exactly ``n·Δ`` cells per advanced frontier, and keeps its sweeps to a
-  bounded set of widths and a capped cell count.
+  checkpoint bitwise where the numba backend's fill leaves them, charges
+  exactly ``n·Δ`` cells per advanced frontier on both backends, and keeps its
+  sweeps to a bounded set of widths and a capped cell count;
+* the two backends' ``sweep_table`` fill randomly bordered stacked tables
+  bitwise alike, for every recurrence.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ class _Fleet:
 def test_values_matches_batch_bitwise(config_id, measure, kwargs, dim, seed,
                                       steps, paths):
     fleet = _Fleet(measure, kwargs, dim, seed)
-    # The compiled per-pair loops (plain Python under the njit stub).
+    # The compiled table fills (plain Python under the njit stub).
     twin = _Fleet(measure, kwargs, dim, seed, backend=NumbaBackend)
     everyone = list(range(len(fleet.pairs)))
     for step, stacked in zip(steps, paths):
@@ -264,7 +266,7 @@ def test_values_matches_batch_bitwise(config_id, measure, kwargs, dim, seed,
             assert value == fleet.expected(s)  # bitwise, not approx
             assert twin.engine.value(twin.pairs[s]) == value
         # Whole frontiers (borders included) and checkpoints match the
-        # compiled loops, not just the value cell.
+        # compiled fills, not just the value cell.
         for pair_id, twin_id in zip(fleet.pairs, twin.pairs):
             assert _frontiers(fleet.engine, pair_id) == _frontiers(twin.engine,
                                                                   twin_id)
@@ -313,34 +315,84 @@ def test_values_charges_n_times_delta(config_id, measure, kwargs, dim, seed,
         assert charged <= recompute
 
 
-def test_values_on_compiled_backend_runs_stream_kernels(monkeypatch):
-    """A compiled backend advances each frontier through its per-pair stream
-    kernel, never through the stacked sweep, and lands on the batch kernel."""
+def test_values_on_compiled_backend_runs_its_sweep_table(monkeypatch):
+    """A compiled backend advances every frontier through its own
+    ``sweep_table``, never the numpy sweep, and lands on the batch kernel."""
     fleet = _Fleet("edr", {"epsilon": 0.3}, 2, seed=5, backend=NumbaBackend)
     for s in range(len(fleet.pairs)):
         fleet.apply(s, "burst", 2)
     backend = fleet.engine._backend
-    lookup = backend.stream_kernel
-    advanced = []
+    sweep_table = backend.sweep_table
+    calls = []
 
-    def recording(key):
-        extend = lookup(key)
-
-        def run(a, b_new, column, *args):
-            advanced.append((key, len(b_new)))
-            return extend(a, b_new, column, *args)
-        return run
+    def recording(mode, table, data, *args):
+        calls.append((mode, data.shape[0]))
+        return sweep_table(mode, table, data, *args)
 
     def no_sweep(*args):
-        raise AssertionError("the compiled backend ran a stacked sweep")
+        raise AssertionError("the compiled backend ran the numpy sweep")
 
     expected = [fleet.expected(s) for s in range(len(fleet.pairs))]
-    monkeypatch.setattr(backend, "stream_kernel", recording)
+    monkeypatch.setattr(backend, "sweep_table", recording)
     monkeypatch.setattr(kernels, "_sweep_table", no_sweep)
     got = fleet.engine.values(fleet.pairs)
-    assert advanced == [("edr", len(fleet.window(s)))
-                        for s in range(len(fleet.pairs))]
+    assert {mode for mode, _ in calls} == {"edr"}
+    assert sum(rows for _, rows in calls) == len(fleet.pairs)
     assert got.tolist() == expected
+
+
+def test_banded_dtw_cells_match_across_backends():
+    """Both backends fill the same stacked tables, so one banded-DTW
+    append/evict schedule charges identical ``stream.dp_cells`` (out-of-band
+    cells included, as the numpy batch kernels count them)."""
+    schedule = [("append", 4), ("append", 1), ("evict", 3), ("append", 4),
+                ("evict", 2), ("append", 2), ("append", 3)]
+    charged = {}
+    for name, backend in BACKENDS:
+        replay = _Replay("dtw", {"band": 1}, 2, backend, seed=21)
+        before = _stream_cells()
+        for op, size in schedule:
+            assert replay.apply(op, size)
+            replay.engine.value(replay.pair)
+        charged[name] = _stream_cells() - before
+    assert charged["numba"] == charged["numpy"] > 0
+
+
+@pytest.mark.parametrize("mode", ["dtw", "erp", "edr", "lcss", "frechet"])
+@SETTINGS
+@given(seed=SEEDS, rows=st.integers(min_value=1, max_value=4),
+       n=st.integers(min_value=1, max_value=7),
+       width=st.integers(min_value=1, max_value=7), shared_gaps=st.booleans())
+def test_numba_sweep_table_equals_numpy_bitwise(mode, seed, rows, n, width,
+                                                shared_gaps):
+    """Randomly bordered stacked tables fill bitwise alike on both backends:
+    ERP with per-row or shared pattern gap costs, DTW/Fréchet with ``+inf``
+    borders and ``+inf``-masked (out-of-band) costs, EDR/LCSS over count
+    borders."""
+    rng = np.random.default_rng(seed)
+    table = np.empty((rows, n + 1, width + 1))
+    gap_cost_a = gap_cost_b = None
+    if mode in ("edr", "lcss"):
+        data = rng.random((rows, n, width)) < 0.5
+        table[:, :, 0] = rng.integers(0, 6, size=(rows, n + 1))
+        table[:, 0, 1:] = rng.integers(0, 6, size=(rows, width))
+    else:
+        data = rng.uniform(0.0, 2.0, size=(rows, n, width))
+        table[:, :, 0] = rng.uniform(0.0, 4.0, size=(rows, n + 1))
+        table[:, 0, 1:] = rng.uniform(0.0, 4.0, size=(rows, width))
+        if mode == "erp":
+            gap_cost_a = rng.uniform(0.0, 2.0, size=(1 if shared_gaps else rows, n))
+            gap_cost_b = rng.uniform(0.0, 2.0, size=(rows, width))
+        else:
+            data[rng.random(data.shape) < 0.3] = np.inf
+            table[:, 1:, 0][rng.random((rows, n)) < 0.3] = np.inf
+            table[:, 0, 1:][rng.random((rows, width)) < 0.3] = np.inf
+    filled = {}
+    for name, backend in BACKENDS:
+        out = table.copy()
+        backend().sweep_table(mode, out, data, gap_cost_a, gap_cost_b)
+        filled[name] = out
+    assert filled["numba"].tobytes() == filled["numpy"].tobytes()
 
 
 def test_values_keeps_input_order_and_duplicates():
