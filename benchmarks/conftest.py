@@ -10,13 +10,16 @@ matrices are the dominant cost of every harness and are identical across
 tables/figures that share a dataset, so repeated tier-1 runs reuse them across
 processes instead of recomputing.  The engine is installed per test and the
 previous default restored afterwards, so the cache never bleeds into ``tests/``
-when both directories are collected in one session.  (The cache is keyed by
-data + measure only — delete ``benchmarks/.matrix_cache/`` after changing
-distance/kernel code to avoid serving matrices computed by the old code.)
+when both directories are collected in one session.  Entries are keyed by data +
+measure inside a subdirectory named by a SHA-256 of the code that computes them
+(``src/repro/distances/*.py``, ``src/repro/engine/kernels.py`` and
+``src/repro/engine/backends/*.py``), so a change to any of those files starts a
+fresh cache instead of serving matrices computed by the old code.
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -26,7 +29,22 @@ from repro.engine.executor import _default_strategy
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-MATRIX_CACHE_DIR = Path(__file__).parent / ".matrix_cache"
+SOURCE_DIR = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def matrix_source_digest() -> str:
+    """SHA-256 over the names and bytes of the files that compute the matrices."""
+    files = sorted([*(SOURCE_DIR / "distances").glob("*.py"),
+                    SOURCE_DIR / "engine" / "kernels.py",
+                    *(SOURCE_DIR / "engine" / "backends").glob("*.py")])
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(SOURCE_DIR).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+MATRIX_CACHE_DIR = Path(__file__).parent / ".matrix_cache" / matrix_source_digest()
 
 
 @pytest.fixture(scope="session")

@@ -346,7 +346,10 @@ class StreamingEngine:
         if not spatial and a.shape[1] < 3:
             raise ValueError("dita requires patterns with a time column")
         a = np.ascontiguousarray(a)
-        band = int(band) if band is not None and measure == "dtw" else None
+        if band is not None:
+            if measure != "dtw":
+                raise ValueError(f"band= applies to dtw only, not {measure}")
+            band = int(band)
         gap_cost_a = None
         measure_args = ()
         if measure == "erp":

@@ -5,7 +5,10 @@ distance matrices into an online search path:
 
 * :mod:`repro.search.bounds` — cheap per-measure lower bounds (LB_Keogh-style
   envelopes, MBR/endpoint separation, length-difference and reference-point
-  bounds) behind a ``register_lower_bound`` registry;
+  bounds) behind a ``register_batch_lower_bound`` registry; each bound scores
+  a query against every candidate of a :class:`StackedSummaries` in a few
+  array passes, and fleets mixing 2-D and 3-D trajectories stack at their
+  common width;
 * :mod:`repro.search.index` — :class:`TrajectoryIndex`, an inverted cell index
   (grid or quadtree) plus per-trajectory summaries;
 * :mod:`repro.search.knn` — :func:`knn_search`, exact filter-and-refine top-k
@@ -22,10 +25,6 @@ distance matrices into an online search path:
 from .bounds import (
     TrajectorySummary,
     StackedSummaries,
-    register_lower_bound,
-    get_lower_bound,
-    available_lower_bounds,
-    lower_bound,
     register_batch_lower_bound,
     get_batch_lower_bound,
     available_batch_lower_bounds,
@@ -38,8 +37,7 @@ from .monitor import StreamAlert, StreamMonitor
 from .service import SearchService, PendingQuery, DEFAULT_BATCH_SIZE, CACHE_TTL_ENV
 
 __all__ = [
-    "TrajectorySummary", "StackedSummaries", "register_lower_bound",
-    "get_lower_bound", "available_lower_bounds", "lower_bound",
+    "TrajectorySummary", "StackedSummaries",
     "register_batch_lower_bound", "get_batch_lower_bound",
     "available_batch_lower_bounds",
     "TrajectoryIndex",

@@ -1,31 +1,35 @@
 """Cheap per-measure lower bounds for filter-and-refine search.
 
 Exact top-k search refuses to compute the full O(n·m) dynamic program for every
-candidate.  Instead, each measure registers a *lower bound*: a function that is
-provably ≤ the true distance and costs O(n + m) to evaluate.  Candidates whose
-bound already exceeds the best-so-far k-th distance can be discarded without ever
-running the measure — the classic filter-and-refine recipe (LB_Keogh for DTW,
-length-difference bounds for edit distances, MBR separation for point-set
-measures).
+candidate.  Instead, each measure registers a *lower bound* that is provably ≤
+the true distance and costs O((n + m) · pieces) per candidate — the classic
+filter-and-refine recipe (LB_Keogh for DTW, length-difference bounds for edit
+distances, MBR separation for point-set measures).  Candidates whose bound
+already exceeds the best-so-far k-th distance are discarded without ever running
+the measure.
 
-Bounds are registered by measure name with :func:`register_lower_bound`, which
-mirrors ``repro.distances.base.register_distance``.  Every bound shares one
-signature::
+There is one bound contract, a *batch* bound that scores a query against every
+candidate of a :class:`StackedSummaries` at once::
 
-    bound(query, candidate, summary=None, query_summary=None,
-          **measure_kwargs) -> float
+    bound(query, stacked, query_summary, **measure_kwargs) -> np.ndarray  # (C,)
 
-where ``summary``/``query_summary`` are optional precomputed
-:class:`TrajectorySummary` objects (indexes keep one per trajectory so repeated
-queries never rescan candidates for their boxes, endpoints or coordinate sums).
+Bounds are registered by measure name with :func:`register_batch_lower_bound`; a
+measure without one gets all-zero bounds from the callers, which keeps search
+exact (everything is refined).  Query points are broadcast against the stacked
+candidate boxes, and candidate points are scored against the query's boxes in
+one concatenated pass reduced per candidate with ``ufunc.reduceat``.
 
 A summary does not store a single MBR but a short chain of *piecewise* boxes
 (up to :data:`DEFAULT_SEGMENTS`, consecutive pieces overlapping by one point so
 polyline segments never escape them).  Trajectories are elongated, so one box
 around a whole route is mostly empty space; a handful of boxes hugging the route
-tightens every bound below at O(n · segments) evaluation cost.
+tightens every bound below at O(n · segments) evaluation cost.  Every bound
+reads columns 0–1, and the spatio-temporal bounds (TP, DITA) column 2 as well,
+so a fleet mixing ``(lon, lat)`` and ``(lon, lat, t)`` trajectories stacks at
+its common width (see :meth:`StackedSummaries.of`).
 
-Soundness (bound ≤ true distance for the same kwargs) is property-tested in
+Soundness (bound ≤ true distance for the same kwargs) is property-tested against
+the textbook distances of :mod:`repro.distances` in
 ``tests/test_search_bounds.py``; every argument below leans on two facts: the
 distance from a point to a box bounds its distance to everything inside the box
 (boxes are convex), and alignment-based measures must touch every row — and pair
@@ -45,18 +49,10 @@ __all__ = [
     "DEFAULT_SEGMENTS",
     "TrajectorySummary",
     "StackedSummaries",
-    "register_lower_bound",
-    "get_lower_bound",
-    "available_lower_bounds",
-    "lower_bound",
     "register_batch_lower_bound",
     "get_batch_lower_bound",
     "available_batch_lower_bounds",
 ]
-
-LowerBoundFunction = Callable[..., float]
-
-_LOWER_BOUNDS: dict[str, LowerBoundFunction] = {}
 
 #: Piecewise boxes kept per trajectory summary.  More pieces → tighter bounds but
 #: linearly more bound arithmetic; 8 prunes well while staying far below the cost
@@ -112,16 +108,12 @@ class TrajectorySummary:
             seg_maxs=seg_maxs,
         )
 
-    @property
-    def has_time(self) -> bool:
-        return self.mins.shape[0] >= 3
-
 
 @dataclass(frozen=True)
 class StackedSummaries:
     """Column-stacked form of many :class:`TrajectorySummary` objects.
 
-    Indexes stack their summaries once so a *batch* lower bound can score every
+    Indexes stack their summaries once so a lower bound can score every
     candidate in a handful of array passes instead of a Python loop: the
     piecewise boxes of all candidates are padded to a common piece count (by
     repeating each trajectory's final box — a duplicate box never changes a
@@ -150,14 +142,14 @@ class StackedSummaries:
                   for item in arrays]
         if not arrays:
             raise ValueError("StackedSummaries needs at least one trajectory")
-        widths = {array.shape[1] for array in arrays}
-        if len(widths) != 1:
-            raise ValueError("all trajectories must share the same column count "
-                             f"to stack their summaries; saw widths {sorted(widths)}")
         if summaries is None:
             summaries = [TrajectorySummary.of(array) for array in arrays]
+        # Stack at the common (minimum) column count: spatial bounds read only
+        # columns 0–1, so a fleet mixing (lon, lat) and (lon, lat, t) rows keeps
+        # their values, while the temporal bounds find no time column and
+        # refuse the fleet.
+        width = min(array.shape[1] for array in arrays)
         pieces = max(len(summary.segment_starts) for summary in summaries)
-        width = widths.pop()
         count = len(arrays)
         seg_mins = np.empty((count, pieces, width))
         seg_maxs = np.empty((count, pieces, width))
@@ -165,10 +157,10 @@ class StackedSummaries:
         seg_ends = np.empty((count, pieces), dtype=np.int64)
         for row, summary in enumerate(summaries):
             own = len(summary.segment_starts)
-            seg_mins[row, :own] = summary.seg_mins
-            seg_maxs[row, :own] = summary.seg_maxs
-            seg_mins[row, own:] = summary.seg_mins[-1]
-            seg_maxs[row, own:] = summary.seg_maxs[-1]
+            seg_mins[row, :own] = summary.seg_mins[:, :width]
+            seg_maxs[row, :own] = summary.seg_maxs[:, :width]
+            seg_mins[row, own:] = summary.seg_mins[-1, :width]
+            seg_maxs[row, own:] = summary.seg_maxs[-1, :width]
             seg_starts[row, :own] = summary.segment_starts
             seg_ends[row, :own] = summary.segment_ends
             seg_starts[row, own:] = summary.segment_starts[-1]
@@ -177,14 +169,14 @@ class StackedSummaries:
         offsets = np.concatenate([[0], np.cumsum(lengths)])
         return StackedSummaries(
             lengths=lengths,
-            firsts=np.stack([summary.first for summary in summaries]),
-            lasts=np.stack([summary.last for summary in summaries]),
-            point_sums=np.stack([summary.point_sum for summary in summaries]),
+            firsts=np.stack([summary.first[:width] for summary in summaries]),
+            lasts=np.stack([summary.last[:width] for summary in summaries]),
+            point_sums=np.stack([summary.point_sum[:width] for summary in summaries]),
             seg_mins=seg_mins,
             seg_maxs=seg_maxs,
             seg_starts=seg_starts,
             seg_ends=seg_ends,
-            points=np.concatenate(arrays, axis=0),
+            points=np.concatenate([array[:, :width] for array in arrays], axis=0),
             offsets=offsets,
         )
 
@@ -197,308 +189,6 @@ class StackedSummaries:
 
 
 # ---------------------------------------------------------------------- registry
-def register_lower_bound(name: str):
-    """Decorator registering a lower bound for the measure ``name``."""
-
-    def decorator(func: LowerBoundFunction) -> LowerBoundFunction:
-        key = name.lower()
-        if key in _LOWER_BOUNDS:
-            raise KeyError(f"lower bound for '{name}' already registered")
-        _LOWER_BOUNDS[key] = func
-        return func
-
-    return decorator
-
-
-def get_lower_bound(name: str) -> LowerBoundFunction | None:
-    """Lower bound registered for ``name``, or None when the measure has none."""
-    return _LOWER_BOUNDS.get(name.lower())
-
-
-def available_lower_bounds() -> list[str]:
-    """Names of every measure with a registered lower bound."""
-    return sorted(_LOWER_BOUNDS)
-
-
-def lower_bound(name: str, query, candidate, summary: TrajectorySummary | None = None,
-                query_summary: TrajectorySummary | None = None, **measure_kwargs) -> float:
-    """Bound for ``name`` applied to one pair (0.0 when no bound is registered)."""
-    func = get_lower_bound(name)
-    if func is None:
-        return 0.0
-    return func(query, candidate, summary=summary, query_summary=query_summary,
-                **measure_kwargs)
-
-
-# ----------------------------------------------------------------------- helpers
-def _summary_of(trajectory, summary: TrajectorySummary | None) -> TrajectorySummary:
-    return summary if summary is not None else TrajectorySummary.of(trajectory)
-
-
-def _box_gap_matrix(points: np.ndarray, seg_mins: np.ndarray,
-                    seg_maxs: np.ndarray) -> np.ndarray:
-    """(n, segments) Euclidean distances from every point to every piece box."""
-    delta = np.maximum(np.maximum(seg_mins[None, :, :] - points[:, None, :],
-                                  points[:, None, :] - seg_maxs[None, :, :]), 0.0)
-    return np.sqrt((delta ** 2).sum(axis=-1))
-
-
-def _point_gaps(points: np.ndarray, summary: TrajectorySummary) -> np.ndarray:
-    """Per-point lower bound on the distance to the summarised point set/polyline.
-
-    Every candidate point (and, because pieces overlap by one point, every
-    polyline segment) lies inside some piece box, so the minimum over piece boxes
-    bounds both the point-to-point-set and point-to-polyline distances.
-    """
-    return _box_gap_matrix(points, summary.seg_mins[:, :2],
-                           summary.seg_maxs[:, :2]).min(axis=1)
-
-
-def _chebyshev_gaps(points: np.ndarray, summary: TrajectorySummary) -> np.ndarray:
-    """Per-point Chebyshev (max-coordinate) distance to the nearest piece box."""
-    delta = np.maximum(np.maximum(summary.seg_mins[None, :, :2] - points[:, None, :],
-                                  points[:, None, :] - summary.seg_maxs[None, :, :2]), 0.0)
-    return delta.max(axis=-1).min(axis=1)
-
-
-def _alignment_row_bound(interior_gaps: np.ndarray, first_cost: float,
-                         last_cost: float) -> float:
-    """Σ of per-row alignment lower bounds with exact first/last cells.
-
-    Every warping path visits the pair (0, 0) first and (n−1, m−1) last — those
-    are distinct path cells whenever the path has more than one cell — while each
-    interior row contributes at least its cheapest reachable cell.  Adding the
-    exact endpoint costs to the interior row minima is therefore still a lower
-    bound, and a much tighter one than taking their maximum.
-
-    ``interior_gaps`` must cover rows ``1 .. n−2`` only (empty when n ≤ 2).
-    """
-    return first_cost + float(interior_gaps.sum()) + last_cost
-
-
-# --------------------------------------------------------- alignment (sum) bounds
-@register_lower_bound("dtw")
-def lb_dtw(query, candidate, band: int | None = None,
-           summary: TrajectorySummary | None = None,
-           query_summary: TrajectorySummary | None = None) -> float:
-    """LB_Keogh-style piecewise-envelope bound for (optionally banded) DTW.
-
-    Every interior query point is matched to at least one candidate point on the
-    optimal path and the path's first/last cells are exactly (0, 0)/(n−1, m−1),
-    so DTW ≥ d(a₀, b₀) + Σᵢ minⱼ d(aᵢ, bⱼ) + d(a₋₁, b₋₁) with the sum over
-    interior rows, each row min bounded by the nearest reachable piece box;
-    unbanded, the symmetric candidate-side sum applies too.  Banded, row ``i``
-    may only couple with columns ``|i − j| ≤ r`` where ``r = max(band, |n − m|)``
-    — exactly ``dtw_distance``'s widened Sakoe–Chiba radius — so only pieces
-    intersecting that window count, the sliding-envelope of LB_Keogh.
-    """
-    a = as_points(query)
-    s = _summary_of(candidate, summary)
-    n, m = len(a), s.length
-    first_cost = float(np.linalg.norm(a[0] - s.first[:2]))
-    if n == 1 and m == 1:
-        return first_cost
-    last_cost = float(np.linalg.norm(a[-1] - s.last[:2]))
-    if band is None:
-        qs = _summary_of(a, query_summary)
-        b = np.asarray(getattr(candidate, "points", candidate), dtype=np.float64)[:, :2]
-        row_sum = _alignment_row_bound(_point_gaps(a[1:-1], s) if n > 2 else np.zeros(0),
-                                       first_cost, last_cost)
-        col_sum = _alignment_row_bound(_point_gaps(b[1:-1], qs) if m > 2 else np.zeros(0),
-                                       first_cost, last_cost)
-        return max(row_sum, col_sum)
-    radius = max(int(band), abs(n - m))
-    gap_matrix = _box_gap_matrix(a, s.seg_mins[:, :2], s.seg_maxs[:, :2])
-    rows = np.arange(n)
-    window_low = np.maximum(rows - radius, 0)
-    window_high = np.minimum(rows + radius, m - 1)
-    first_piece = np.searchsorted(s.segment_ends, window_low, side="left")
-    last_piece = np.searchsorted(s.segment_starts, window_high, side="right") - 1
-    interior = np.array([gap_matrix[i, first_piece[i]:last_piece[i] + 1].min()
-                         for i in range(1, n - 1)])
-    return _alignment_row_bound(interior, first_cost, last_cost)
-
-
-@register_lower_bound("erp")
-def lb_erp(query, candidate, gap=None, summary: TrajectorySummary | None = None,
-           query_summary: TrajectorySummary | None = None) -> float:
-    """Chen & Ng's reference-point bound, lifted to the plane.
-
-    With uᵢ = aᵢ − g and vⱼ = bⱼ − g, any ERP alignment costs Σ‖uᵢ − vⱼ‖ over
-    matches plus Σ‖uᵢ‖ and Σ‖vⱼ‖ over gaps, which by the triangle inequality is
-    at least ‖Σuᵢ − Σvⱼ‖ — computable from the stored coordinate sums alone.
-    """
-    a = as_points(query)
-    s = _summary_of(candidate, summary)
-    gap_point = np.zeros(2) if gap is None else np.asarray(gap, dtype=np.float64)[:2]
-    sum_a = a.sum(axis=0) - len(a) * gap_point
-    sum_b = s.point_sum[:2] - s.length * gap_point
-    return float(np.linalg.norm(sum_a - sum_b))
-
-
-# ------------------------------------------------------------- edit-count bounds
-@register_lower_bound("edr")
-def lb_edr(query, candidate, epsilon: float = 0.25,
-           summary: TrajectorySummary | None = None,
-           query_summary: TrajectorySummary | None = None) -> float:
-    """Length-difference and unmatchable-point bounds for EDR.
-
-    The deletion/insertion counts of any alignment differ by exactly |n − m|, and
-    every point farther than ``epsilon`` (Chebyshev) from all of the other
-    trajectory's piece boxes can never satisfy EDR's match predicate, so it costs
-    one edit.
-    """
-    a = as_points(query)
-    b = as_points(candidate)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    unmatchable_a = int((_chebyshev_gaps(a, s) > epsilon).sum())
-    unmatchable_b = int((_chebyshev_gaps(b, qs) > epsilon).sum())
-    return float(max(abs(len(a) - s.length), unmatchable_a, unmatchable_b))
-
-
-@register_lower_bound("lcss")
-def lb_lcss(query, candidate, epsilon: float = 0.25,
-            summary: TrajectorySummary | None = None,
-            query_summary: TrajectorySummary | None = None) -> float:
-    """Matchable-point bound for the LCSS distance 1 − LCSS/min(n, m).
-
-    A common subsequence only contains points within ``epsilon`` (Chebyshev) of
-    some piece box of the other trajectory, capping LCSS by the matchable counts
-    of each side.
-    """
-    a = as_points(query)
-    b = as_points(candidate)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    n, m = len(a), s.length
-    matchable_a = int((_chebyshev_gaps(a, s) <= epsilon).sum())
-    matchable_b = int((_chebyshev_gaps(b, qs) <= epsilon).sum())
-    best_common = min(matchable_a, matchable_b, n, m)
-    return max(0.0, 1.0 - best_common / min(n, m))
-
-
-# --------------------------------------------------------------- point-set bounds
-@register_lower_bound("hausdorff")
-def lb_hausdorff(query, candidate, summary: TrajectorySummary | None = None,
-                 query_summary: TrajectorySummary | None = None) -> float:
-    """Piece-box bound: H(A, B) ≥ maxᵢ d(aᵢ, pieces(B)) and symmetrically for B."""
-    a = as_points(query)
-    b = as_points(candidate)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    return max(float(_point_gaps(a, s).max()), float(_point_gaps(b, qs).max()))
-
-
-@register_lower_bound("frechet")
-def lb_frechet(query, candidate, summary: TrajectorySummary | None = None,
-               query_summary: TrajectorySummary | None = None) -> float:
-    """Endpoint and piece-box bounds for the discrete Fréchet distance.
-
-    Every coupling pairs the first points with each other and the last points with
-    each other, and matches every point of one curve to some point of the other;
-    the coupling maximum dominates each of those pair distances.
-    """
-    a = as_points(query)
-    b = as_points(candidate)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    first = float(np.linalg.norm(a[0] - s.first[:2]))
-    last = float(np.linalg.norm(a[-1] - s.last[:2]))
-    return max(first, last, float(_point_gaps(a, s).max()),
-               float(_point_gaps(b, qs).max()))
-
-
-@register_lower_bound("sspd")
-def lb_sspd(query, candidate, summary: TrajectorySummary | None = None,
-            query_summary: TrajectorySummary | None = None) -> float:
-    """Piece-box bound for SSPD.
-
-    Point-to-polyline distances dominate point-to-nearest-piece-box distances
-    because every polyline segment lies inside a piece box (pieces overlap by one
-    point, and boxes are convex).
-    """
-    a = as_points(query)
-    b = as_points(candidate)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    return 0.5 * (float(_point_gaps(a, s).mean()) + float(_point_gaps(b, qs).mean()))
-
-
-# ---------------------------------------------------------- spatio-temporal bounds
-def _st_gaps(points: np.ndarray, summary: TrajectorySummary,
-             lambda_spatial: float, time_scale: float) -> np.ndarray:
-    """Per-point lower bounds on the blended spatio-temporal cost to the pieces.
-
-    For the piece containing the best-matching candidate point, the blended cost
-    is at least λ·(spatial gap to its box) + (1 − λ)·(time gap to its range), so
-    the minimum of that expression over pieces bounds minⱼ cost(i, j).
-    """
-    spatial = _box_gap_matrix(points[:, :2], summary.seg_mins[:, :2],
-                              summary.seg_maxs[:, :2])
-    temporal = np.maximum(
-        np.maximum(summary.seg_mins[None, :, 2] - points[:, None, 2],
-                   points[:, None, 2] - summary.seg_maxs[None, :, 2]), 0.0) / time_scale
-    return (lambda_spatial * spatial + (1.0 - lambda_spatial) * temporal).min(axis=1)
-
-
-def _require_temporal(points: np.ndarray, summary: TrajectorySummary, name: str) -> None:
-    if points.shape[1] < 3 or not summary.has_time:
-        raise ValueError(f"{name} requires trajectories with a time column (lon, lat, t)")
-
-
-@register_lower_bound("tp")
-def lb_tp(query, candidate, lambda_spatial: float = 0.5, time_scale: float = 1.0,
-          summary: TrajectorySummary | None = None,
-          query_summary: TrajectorySummary | None = None) -> float:
-    """Piece-box bound on TP's symmetric mean closest-pair blend."""
-    a = as_points(query, spatial_only=False)
-    b = np.asarray(getattr(candidate, "points", candidate), dtype=np.float64)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    _require_temporal(a, s, "lb_tp")
-    forward = float(_st_gaps(a, s, lambda_spatial, time_scale).mean())
-    backward = float(_st_gaps(b, qs, lambda_spatial, time_scale).mean())
-    return 0.5 * (forward + backward)
-
-
-@register_lower_bound("dita")
-def lb_dita(query, candidate, lambda_spatial: float = 0.5, time_scale: float = 1.0,
-            summary: TrajectorySummary | None = None,
-            query_summary: TrajectorySummary | None = None) -> float:
-    """DTW-style row/endpoint bounds over the blended spatio-temporal cost."""
-    a = as_points(query, spatial_only=False)
-    b = np.asarray(getattr(candidate, "points", candidate), dtype=np.float64)
-    s = _summary_of(b, summary)
-    qs = _summary_of(a, query_summary)
-    _require_temporal(a, s, "lb_dita")
-
-    def pair_cost(p: np.ndarray, q: np.ndarray) -> float:
-        spatial = float(np.linalg.norm(p[:2] - q[:2]))
-        temporal = abs(p[2] - q[2]) / time_scale
-        return lambda_spatial * spatial + (1.0 - lambda_spatial) * temporal
-
-    first_cost = pair_cost(a[0], s.first)
-    if len(a) == 1 and s.length == 1:
-        return first_cost
-    last_cost = pair_cost(a[-1], s.last)
-    row_interior = _st_gaps(a[1:-1], s, lambda_spatial, time_scale) \
-        if len(a) > 2 else np.zeros(0)
-    col_interior = _st_gaps(b[1:-1], qs, lambda_spatial, time_scale) \
-        if len(b) > 2 else np.zeros(0)
-    return max(_alignment_row_bound(row_interior, first_cost, last_cost),
-               _alignment_row_bound(col_interior, first_cost, last_cost))
-
-
-# ------------------------------------------------------------------ batch bounds
-# One-pass vectorised twins of the per-pair bounds above.  A batch bound scores a
-# query against EVERY candidate of a StackedSummaries in a few array passes:
-# query points are broadcast against the stacked candidate boxes, candidate
-# points are evaluated against the query's boxes in one concatenated pass and
-# reduced per candidate with ufunc.reduceat.  Each function mirrors its per-pair
-# twin line for line (tests/test_search_bounds.py pins them together to 1e-9);
-# returning None signals "these kwargs need the per-pair fallback" (banded DTW).
-
 _BATCH_LOWER_BOUNDS: dict[str, Callable] = {}
 
 #: Soft cap on broadcast temporaries (elements per chunk) in the stacked passes.
@@ -506,7 +196,7 @@ _BATCH_CHUNK_ELEMENTS = 2_000_000
 
 
 def register_batch_lower_bound(name: str):
-    """Decorator registering the batch twin of the lower bound for ``name``."""
+    """Decorator registering the lower bound for the measure ``name``."""
 
     def decorator(func: Callable) -> Callable:
         key = name.lower()
@@ -519,15 +209,16 @@ def register_batch_lower_bound(name: str):
 
 
 def get_batch_lower_bound(name: str) -> Callable | None:
-    """Batch lower bound registered for ``name`` (None when only per-pair exists)."""
+    """Lower bound registered for ``name``, or None when the measure has none."""
     return _BATCH_LOWER_BOUNDS.get(name.lower())
 
 
 def available_batch_lower_bounds() -> list[str]:
-    """Names of every measure with a registered batch lower bound."""
+    """Names of every measure with a registered lower bound."""
     return sorted(_BATCH_LOWER_BOUNDS)
 
 
+# ----------------------------------------------------------------------- helpers
 def _stacked_gaps(points: np.ndarray, seg_mins: np.ndarray, seg_maxs: np.ndarray,
                   chebyshev: bool = False) -> np.ndarray:
     """(n, C) per-point distances to every candidate's nearest piece box.
@@ -557,9 +248,11 @@ def _concat_point_gaps(points: np.ndarray, summary: TrajectorySummary,
                        chebyshev: bool = False) -> np.ndarray:
     """Per-point gap to the query's piece boxes for ALL candidate points at once.
 
-    The concatenated-candidate counterpart of :func:`_point_gaps` /
-    :func:`_chebyshev_gaps`: one (N, S_q) pass over every candidate point,
-    chunked over rows.
+    Every query point (and, because pieces overlap by one point, every polyline
+    segment) lies inside some piece box, so the minimum over the query's boxes
+    bounds a candidate point's distance to the query's point set or polyline
+    (Euclidean, or Chebyshev for the ε-match measures).  One (N, S_q) pass over
+    every candidate point, chunked over rows.
     """
     seg_mins = summary.seg_mins[:, :2]
     seg_maxs = summary.seg_maxs[:, :2]
@@ -589,9 +282,9 @@ def _interior_sums(values: np.ndarray, offsets: np.ndarray,
                    lengths: np.ndarray) -> np.ndarray:
     """Per-candidate sum of ``values`` over interior rows (1 .. m−2) only.
 
-    Endpoint entries are zeroed before the segmented sum, matching the scalar
-    bounds' slicing (``b[1:-1]``); candidates shorter than three points have no
-    interior and contribute zero.
+    Endpoint entries are zeroed before the segmented sum (each candidate's
+    ``b[1:-1]``); candidates shorter than three points have no interior and
+    contribute zero.
     """
     interior = values.copy()
     interior[offsets[:-1]] = 0.0
@@ -602,14 +295,14 @@ def _interior_sums(values: np.ndarray, offsets: np.ndarray,
 
 def _batch_lb_dtw_banded(a: np.ndarray, stacked: StackedSummaries,
                          band: int) -> np.ndarray:
-    """Windowed batch twin of banded :func:`lb_dtw` over the stacked envelopes.
+    """Sliding-envelope (LB_Keogh) bound for banded DTW over the stacked boxes.
 
-    Mirrors the scalar sliding-envelope bound: query row ``i`` may only couple
-    with candidate columns ``|i − j| ≤ r_c`` (``r_c = max(band, |n − m_c|)``),
-    so only pieces intersecting that window — ``seg_end ≥ window_low`` and
-    ``seg_start ≤ window_high``, exactly the scalar ``searchsorted`` range —
-    contribute to each row's minimum.  Padded duplicate pieces repeat the last
-    real piece's box *and* range, so they never change the windowed minimum.
+    Query row ``i`` may only couple with candidate columns ``|i − j| ≤ r_c``
+    where ``r_c = max(band, |n − m_c|)`` — exactly ``dtw_distance``'s widened
+    Sakoe–Chiba radius — so only pieces intersecting that window
+    (``seg_end ≥ window_low`` and ``seg_start ≤ window_high``) contribute to
+    each row's minimum.  Padded duplicate pieces repeat the last real piece's
+    box *and* range, so they never change the windowed minimum.
     """
     n = len(a)
     first = np.linalg.norm(stacked.firsts[:, :2] - a[0], axis=-1)
@@ -648,8 +341,16 @@ def _batch_lb_dtw_banded(a: np.ndarray, stacked: StackedSummaries,
 @register_batch_lower_bound("dtw")
 def batch_lb_dtw(query, stacked: StackedSummaries,
                  query_summary: TrajectorySummary, band: int | None = None
-                 ) -> np.ndarray | None:
-    """Batch twin of :func:`lb_dtw` (banded via the windowed stacked envelopes)."""
+                 ) -> np.ndarray:
+    """LB_Keogh-style piecewise-envelope bound for (optionally banded) DTW.
+
+    Every interior query point is matched to at least one candidate point on the
+    optimal path and the path's first/last cells are exactly (0, 0)/(n−1, m−1) —
+    distinct cells whenever the path has more than one — so DTW ≥ d(a₀, b₀) +
+    Σᵢ minⱼ d(aᵢ, bⱼ) + d(a₋₁, b₋₁) with the sum over interior rows, each row
+    min bounded by the nearest piece box.  Unbanded, the symmetric
+    candidate-side sum applies too; banded, see :func:`_batch_lb_dtw_banded`.
+    """
     if band is not None:
         return _batch_lb_dtw_banded(as_points(query), stacked, band)
     a = as_points(query)
@@ -672,7 +373,12 @@ def batch_lb_dtw(query, stacked: StackedSummaries,
 @register_batch_lower_bound("erp")
 def batch_lb_erp(query, stacked: StackedSummaries,
                  query_summary: TrajectorySummary, gap=None) -> np.ndarray:
-    """Batch twin of :func:`lb_erp` over the stacked coordinate sums."""
+    """Chen & Ng's reference-point bound, lifted to the plane.
+
+    With uᵢ = aᵢ − g and vⱼ = bⱼ − g, any ERP alignment costs Σ‖uᵢ − vⱼ‖ over
+    matches plus Σ‖uᵢ‖ and Σ‖vⱼ‖ over gaps, which by the triangle inequality is
+    at least ‖Σuᵢ − Σvⱼ‖ — computable from the stored coordinate sums alone.
+    """
     a = as_points(query)
     gap_point = np.zeros(2) if gap is None else np.asarray(gap, dtype=np.float64)[:2]
     sum_a = a.sum(axis=0) - len(a) * gap_point
@@ -683,7 +389,13 @@ def batch_lb_erp(query, stacked: StackedSummaries,
 @register_batch_lower_bound("edr")
 def batch_lb_edr(query, stacked: StackedSummaries,
                  query_summary: TrajectorySummary, epsilon: float = 0.25) -> np.ndarray:
-    """Batch twin of :func:`lb_edr`: length gaps and unmatchable-point counts."""
+    """Length-difference and unmatchable-point bounds for EDR.
+
+    The deletion/insertion counts of any alignment differ by exactly |n − m|, and
+    every point farther than ``epsilon`` (Chebyshev) from all of the other
+    trajectory's piece boxes can never satisfy EDR's match predicate, so it costs
+    one edit.
+    """
     a = as_points(query)
     cheb = _stacked_gaps(a, stacked.seg_mins[..., :2], stacked.seg_maxs[..., :2],
                          chebyshev=True)
@@ -698,7 +410,12 @@ def batch_lb_edr(query, stacked: StackedSummaries,
 @register_batch_lower_bound("lcss")
 def batch_lb_lcss(query, stacked: StackedSummaries,
                   query_summary: TrajectorySummary, epsilon: float = 0.25) -> np.ndarray:
-    """Batch twin of :func:`lb_lcss`: matchable-point caps on the common length."""
+    """Matchable-point bound for the LCSS distance 1 − LCSS/min(n, m).
+
+    A common subsequence only contains points within ``epsilon`` (Chebyshev) of
+    some piece box of the other trajectory, capping LCSS by the matchable counts
+    of each side.
+    """
     a = as_points(query)
     n = len(a)
     cheb = _stacked_gaps(a, stacked.seg_mins[..., :2], stacked.seg_maxs[..., :2],
@@ -715,7 +432,7 @@ def batch_lb_lcss(query, stacked: StackedSummaries,
 @register_batch_lower_bound("hausdorff")
 def batch_lb_hausdorff(query, stacked: StackedSummaries,
                        query_summary: TrajectorySummary) -> np.ndarray:
-    """Batch twin of :func:`lb_hausdorff`: symmetric max piece-box gaps."""
+    """Piece-box bound: H(A, B) ≥ maxᵢ d(aᵢ, pieces(B)) and symmetrically for B."""
     a = as_points(query)
     forward = _stacked_gaps(a, stacked.seg_mins[..., :2],
                             stacked.seg_maxs[..., :2]).max(axis=0)
@@ -727,7 +444,12 @@ def batch_lb_hausdorff(query, stacked: StackedSummaries,
 @register_batch_lower_bound("frechet")
 def batch_lb_frechet(query, stacked: StackedSummaries,
                      query_summary: TrajectorySummary) -> np.ndarray:
-    """Batch twin of :func:`lb_frechet`: endpoint pairs plus piece-box gaps."""
+    """Endpoint and piece-box bounds for the discrete Fréchet distance.
+
+    Every coupling pairs the first points with each other and the last points with
+    each other, and matches every point of one curve to some point of the other;
+    the coupling maximum dominates each of those pair distances.
+    """
     a = as_points(query)
     first = np.linalg.norm(stacked.firsts[:, :2] - a[0], axis=-1)
     last = np.linalg.norm(stacked.lasts[:, :2] - a[-1], axis=-1)
@@ -741,7 +463,12 @@ def batch_lb_frechet(query, stacked: StackedSummaries,
 @register_batch_lower_bound("sspd")
 def batch_lb_sspd(query, stacked: StackedSummaries,
                   query_summary: TrajectorySummary) -> np.ndarray:
-    """Batch twin of :func:`lb_sspd`: symmetric mean piece-box gaps."""
+    """Piece-box bound for SSPD: symmetric mean point-to-piece-box gaps.
+
+    Point-to-polyline distances dominate point-to-nearest-piece-box distances
+    because every polyline segment lies inside a piece box (pieces overlap by one
+    point, and boxes are convex).
+    """
     a = as_points(query)
     forward = _stacked_gaps(a, stacked.seg_mins[..., :2],
                             stacked.seg_maxs[..., :2]).mean(axis=0)
@@ -752,7 +479,12 @@ def batch_lb_sspd(query, stacked: StackedSummaries,
 
 def _stacked_st_gaps(points: np.ndarray, seg_mins: np.ndarray, seg_maxs: np.ndarray,
                      lambda_spatial: float, time_scale: float) -> np.ndarray:
-    """(n, C) blended spatio-temporal gaps to every candidate's best piece box."""
+    """(n, C) blended spatio-temporal gaps to every candidate's best piece box.
+
+    For the piece containing the best-matching candidate point, the blended cost
+    is at least λ·(spatial gap to its box) + (1 − λ)·(time gap to its range), so
+    the minimum of that expression over pieces bounds minⱼ cost(i, j).
+    """
     if len(points) == 0:
         return np.zeros((0, len(seg_mins)))
     count = len(seg_mins)
@@ -797,8 +529,8 @@ def _concat_st_gaps(points: np.ndarray, summary: TrajectorySummary,
     return out
 
 
-def _require_temporal_stacked(points: np.ndarray, stacked: StackedSummaries,
-                              name: str) -> None:
+def _require_temporal(points: np.ndarray, stacked: StackedSummaries,
+                      name: str) -> None:
     if points.shape[1] < 3 or not stacked.has_time:
         raise ValueError(f"{name} requires trajectories with a time column (lon, lat, t)")
 
@@ -807,9 +539,9 @@ def _require_temporal_stacked(points: np.ndarray, stacked: StackedSummaries,
 def batch_lb_tp(query, stacked: StackedSummaries,
                 query_summary: TrajectorySummary, lambda_spatial: float = 0.5,
                 time_scale: float = 1.0) -> np.ndarray:
-    """Batch twin of :func:`lb_tp`: symmetric mean blended piece-box gaps."""
+    """Piece-box bound on TP's symmetric mean closest-pair blend."""
     a = as_points(query, spatial_only=False)
-    _require_temporal_stacked(a, stacked, "lb_tp")
+    _require_temporal(a, stacked, "tp")
     forward = _stacked_st_gaps(a, stacked.seg_mins, stacked.seg_maxs,
                                lambda_spatial, time_scale).mean(axis=0)
     gaps = _concat_st_gaps(stacked.points, query_summary, lambda_spatial, time_scale)
@@ -821,9 +553,9 @@ def batch_lb_tp(query, stacked: StackedSummaries,
 def batch_lb_dita(query, stacked: StackedSummaries,
                   query_summary: TrajectorySummary, lambda_spatial: float = 0.5,
                   time_scale: float = 1.0) -> np.ndarray:
-    """Batch twin of :func:`lb_dita`: blended row/endpoint alignment bounds."""
+    """DTW-style row/endpoint bounds over the blended spatio-temporal cost."""
     a = as_points(query, spatial_only=False)
-    _require_temporal_stacked(a, stacked, "lb_dita")
+    _require_temporal(a, stacked, "dita")
     n = len(a)
 
     def pair_costs(point: np.ndarray, others: np.ndarray) -> np.ndarray:

@@ -46,12 +46,7 @@ from ..distances.base import checked_points
 from ..engine.executor import CanonicalArrays
 from ..obs import counter
 from ..obs.spans import span
-from .bounds import (
-    StackedSummaries,
-    TrajectorySummary,
-    get_batch_lower_bound,
-    get_lower_bound,
-)
+from .bounds import StackedSummaries, TrajectorySummary, get_batch_lower_bound
 
 __all__ = ["TrajectoryIndex"]
 
@@ -62,9 +57,9 @@ class _Shard:
     ``members`` holds *global* dense trajectory ids in insertion order; every
     lazy structure below is keyed by the member's local position, so an
     eviction elsewhere in the index only relabels ``members`` and the lazies
-    stay valid.  ``None`` marks "not built yet"; ``_stacked`` additionally
-    uses ``False`` for "not stackable" (shards mixing 2-D and 3-D members
-    fall back to the per-candidate loop).
+    stay valid.  ``None`` marks "not built yet".  ``_stacked`` holds the
+    members' :class:`~repro.search.bounds.StackedSummaries` (a shard mixing
+    2-D and 3-D members stacks at their common width).
     """
 
     __slots__ = ("members", "_stacked", "_cells", "_fingerprint",
@@ -75,7 +70,7 @@ class _Shard:
         self.invalidate()
 
     def invalidate(self) -> None:
-        self._stacked: StackedSummaries | bool | None = None
+        self._stacked: StackedSummaries | None = None
         self._cells: dict[int, np.ndarray] | None = None
         self._fingerprint: str | None = None
         self._mins: np.ndarray | None = None
@@ -267,15 +262,12 @@ class TrajectoryIndex:
             shard._agg_maxs = shard._maxs.max(axis=0)
         return shard._mins, shard._maxs
 
-    def _shard_stacked(self, shard: _Shard) -> StackedSummaries | None:
+    def _shard_stacked(self, shard: _Shard) -> StackedSummaries:
         if shard._stacked is None:
-            arrays = [self.arrays[m] for m in shard.members]
-            widths = {array.shape[1] for array in arrays}
-            shard._stacked = (StackedSummaries.of(arrays,
-                                                  [self.summaries[m]
-                                                   for m in shard.members])
-                              if len(widths) == 1 else False)
-        return shard._stacked if shard._stacked is not False else None
+            shard._stacked = StackedSummaries.of(
+                [self.arrays[m] for m in shard.members],
+                [self.summaries[m] for m in shard.members])
+        return shard._stacked
 
     def _touch(self) -> None:
         """Record a mutation: bump the generation, drop structure-global lazies."""
@@ -491,37 +483,21 @@ class TrajectoryIndex:
     def lower_bounds(self, query, measure: str, **measure_kwargs) -> np.ndarray:
         """Registered lower bound of ``measure`` from ``query`` to every trajectory.
 
-        Fans out across shards: measures with a registered *batch* bound score
-        each shard's candidates in one vectorised pass over that shard's
-        stacked piecewise boxes, scattered back through the member table; the
-        remaining cases (banded DTW windows, shards mixing column counts,
-        measures with only a per-pair bound) walk the per-candidate loop.
-        Both paths produce the same values as the monolithic index did —
-        stacking pads with duplicated final boxes, which never change a
-        min-over-pieces, so per-shard stacking is value-identical.  Measures
+        Fans out across shards: the bound scores each shard's candidates in one
+        vectorised pass over that shard's stacked piecewise boxes, scattered
+        back through the member table.  Stacking pads with duplicated final
+        boxes, which never change a min-over-pieces, so per-shard stacking
+        gives the values one stack over the whole index gives.  Measures
         without a registered bound yield all-zero bounds, which keeps
         filter-and-refine exact (it simply refines everything).
         """
-        bound = get_lower_bound(measure)
+        bound = get_batch_lower_bound(measure)
         if bound is None:
             return np.zeros(len(self))
         points = np.asarray(getattr(query, "points", query), dtype=np.float64)
         query_summary = TrajectorySummary.of(points)
-        batch_bound = get_batch_lower_bound(measure)
         values = np.empty(len(self))
         for shard in self._shards.values():
-            got = None
-            if batch_bound is not None:
-                stacked = self._shard_stacked(shard)
-                if stacked is not None:
-                    got = batch_bound(points, stacked, query_summary,
-                                      **measure_kwargs)
-            if got is not None:
-                values[shard.members] = got
-                continue
-            for member in shard.members:
-                values[member] = bound(points, self.arrays[member],
-                                       summary=self.summaries[member],
-                                       query_summary=query_summary,
-                                       **measure_kwargs)
+            values[shard.members] = bound(points, self._shard_stacked(shard),
+                                          query_summary, **measure_kwargs)
         return values

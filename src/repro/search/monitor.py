@@ -48,12 +48,7 @@ from ..distances.base import checked_points
 from ..engine.streaming import StreamingEngine
 from ..obs import counter, write_event
 from ..resilience import ResilienceError
-from .bounds import (
-    StackedSummaries,
-    TrajectorySummary,
-    get_batch_lower_bound,
-    get_lower_bound,
-)
+from .bounds import StackedSummaries, TrajectorySummary, get_batch_lower_bound
 from .index import TrajectoryIndex
 
 __all__ = ["StreamAlert", "StreamMonitor"]
@@ -209,26 +204,15 @@ class StreamMonitor:
         """Lower bounds for the stale candidates: stacked index bounds joined
         with each existing pair's frontier bound (both admissible, so their
         pointwise max is too)."""
-        bounds = np.zeros(len(stale))
-        batch_bound = get_batch_lower_bound(self.measure)
-        pair_bound = get_lower_bound(self.measure)
-        if batch_bound is not None and stale:
-            arrays = [self.index.arrays[stream_id] for stream_id in stale]
-            if len({array.shape[1] for array in arrays}) == 1:
-                stacked = StackedSummaries.of(
-                    arrays, [self.index.summaries[s] for s in stale])
-                bounds = np.asarray(batch_bound(
-                    self._pattern_points, stacked, self._query_summary,
-                    **self.measure_kwargs), dtype=np.float64)
-            else:
-                batch_bound = None
-        if batch_bound is None and pair_bound is not None:
-            bounds = np.array([
-                pair_bound(self._pattern_points, self.index.arrays[s],
-                           summary=self.index.summaries[s],
-                           query_summary=self._query_summary,
+        bound = get_batch_lower_bound(self.measure)
+        if bound is None or not stale:
+            bounds = np.zeros(len(stale))
+        else:
+            stacked = StackedSummaries.of(
+                [self.index.arrays[s] for s in stale],
+                [self.index.summaries[s] for s in stale])
+            bounds = bound(self._pattern_points, stacked, self._query_summary,
                            **self.measure_kwargs)
-                for s in stale])
         for position, stream_id in enumerate(stale):
             pair_id = self._pair_ids.get(stream_id)
             if pair_id is not None:

@@ -18,7 +18,8 @@ from repro.data import BoundingBox, generate_dataset
 from repro.engine import MatrixEngine
 from repro.obs import counter
 from repro.search import TrajectoryIndex, knn_search
-from repro.search.bounds import TrajectorySummary, get_lower_bound
+from repro.search.bounds import (StackedSummaries, TrajectorySummary,
+                                 get_batch_lower_bound)
 
 MEASURES = ["dtw", "hausdorff", "sspd"]
 
@@ -29,12 +30,18 @@ def spatial():
     return dataset.point_arrays(spatial_only=True)
 
 
-def reference_lower_bounds(index, query, measure):
-    bound = get_lower_bound(measure)
+def reference_lower_bounds(index, query, measure, **kwargs):
+    """The pre-sharding algorithm, both ways: one stack over the whole index,
+    and a per-pair loop scoring each trajectory in a stack of its own."""
+    bound = get_batch_lower_bound(measure)
     query_summary = TrajectorySummary.of(query)
-    return np.array([bound(query, index.arrays[i], summary=index.summaries[i],
-                           query_summary=query_summary)
-                     for i in range(len(index))])
+    whole = bound(query, StackedSummaries.of(index.arrays, index.summaries),
+                  query_summary, **kwargs)
+    per_pair = np.concatenate([
+        bound(query, StackedSummaries.of([index.arrays[i]], [index.summaries[i]]),
+              query_summary, **kwargs)
+        for i in range(len(index))])
+    return whole, per_pair
 
 
 def reference_cell_candidates(index, query, include_all):
@@ -61,20 +68,17 @@ class TestQueryParity:
         index = TrajectoryIndex(spatial, shard_columns=4, shard_rows=4)
         assert index.num_shards > 1  # otherwise the fan-out is vacuous
         for query in spatial[:3]:
-            np.testing.assert_allclose(index.lower_bounds(query, measure),
-                                       reference_lower_bounds(index, query, measure),
-                                       rtol=0, atol=1e-12)
+            got = index.lower_bounds(query, measure)
+            for expected in reference_lower_bounds(index, query, measure):
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_lower_bounds_banded_dtw_matches_loop(self, spatial):
-        index = TrajectoryIndex(spatial)
+        index = TrajectoryIndex(spatial, shard_columns=4, shard_rows=4)
+        assert index.num_shards > 1
         query = spatial[0]
         got = index.lower_bounds(query, "dtw", band=0.2)
-        bound = get_lower_bound("dtw")
-        query_summary = TrajectorySummary.of(query)
-        expected = [bound(query, index.arrays[i], summary=index.summaries[i],
-                          query_summary=query_summary, band=0.2)
-                    for i in range(len(index))]
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        for expected in reference_lower_bounds(index, query, "dtw", band=0.2):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("spatial_index", ["grid", "quadtree"])
     @pytest.mark.parametrize("include_all", [False, True])
@@ -161,9 +165,8 @@ class TestMutationParity:
         query = spatial[35]
         bounds = index.lower_bounds(query, "dtw")
         assert bounds.shape == (40,)
-        np.testing.assert_allclose(bounds,
-                                   reference_lower_bounds(index, query, "dtw"),
-                                   rtol=0, atol=1e-12)
+        for expected in reference_lower_bounds(index, query, "dtw"):
+            np.testing.assert_allclose(bounds, expected, rtol=0, atol=1e-12)
         candidates = index.cell_candidates(query, include_all=True)
         np.testing.assert_array_equal(np.sort(candidates), np.arange(40))
         np.testing.assert_array_equal(

@@ -2,14 +2,19 @@
 
 The whole filter-and-refine contract rests on one inequality: every registered
 lower bound must be ≤ the true distance for the same keyword arguments.  These
-tests hammer that property on random trajectory pairs — including degenerate
-single-point and duplicated trajectories — for every measure in the registry.
+tests check that property against the textbook distances of
+``repro.distances`` — on random trajectory pairs, on route-clustered synthetic
+data and on hypothesis-drawn degenerate fleets (single points, all-duplicate
+points, ragged lengths, 3-D input, exact copies) — for every measure in the
+registry.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import generate_dataset
 from repro.distances import available_distances, get_distance
@@ -18,11 +23,8 @@ from repro.search import (
     TrajectoryIndex,
     TrajectorySummary,
     available_batch_lower_bounds,
-    available_lower_bounds,
     get_batch_lower_bound,
-    get_lower_bound,
-    lower_bound,
-    register_lower_bound,
+    register_batch_lower_bound,
 )
 
 #: Per-measure kwargs variants the soundness property is checked under.
@@ -55,21 +57,30 @@ def random_trajectories(rng: np.random.Generator, with_time: bool) -> list[np.nd
     return trajectories
 
 
+def bounds_of(measure, query, candidates, **kwargs) -> np.ndarray:
+    """The registered bound from ``query`` to every candidate, in one stack."""
+    bound = get_batch_lower_bound(measure)
+    return bound(query, StackedSummaries.of(candidates), TrajectorySummary.of(query),
+                 **kwargs)
+
+
+def assert_sound(measure, query, candidates, **kwargs):
+    distance = get_distance(measure)
+    for candidate, value in zip(candidates,
+                                bounds_of(measure, query, candidates, **kwargs)):
+        exact = distance(query, candidate, **kwargs)
+        assert value <= exact + 1e-9, (
+            f"{measure} bound {value} exceeds distance {exact} for kwargs {kwargs}")
+        assert value >= 0.0
+
+
 @pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
 def test_lower_bound_is_sound(measure):
     rng = np.random.default_rng(7)
     trajectories = random_trajectories(rng, with_time=measure in SPATIOTEMPORAL)
-    bound = get_lower_bound(measure)
-    distance = get_distance(measure)
-    assert bound is not None
     for kwargs in MEASURE_KWARGS[measure]:
-        for a in trajectories:
-            for b in trajectories:
-                lb = bound(a, b, **kwargs)
-                d = distance(a, b, **kwargs)
-                assert lb <= d + 1e-9, (
-                    f"{measure} bound {lb} exceeds distance {d} for kwargs {kwargs}")
-                assert lb >= 0.0
+        for query in trajectories:
+            assert_sound(measure, query, trajectories, **kwargs)
 
 
 @pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
@@ -78,30 +89,78 @@ def test_lower_bound_sound_on_synthetic_city(measure):
     dataset = generate_dataset("chengdu", size=12, seed=3,
                                with_time=measure in SPATIOTEMPORAL or None)
     arrays = dataset.point_arrays(spatial_only=measure not in SPATIOTEMPORAL)
-    bound = get_lower_bound(measure)
-    distance = get_distance(measure)
-    kwargs = MEASURE_KWARGS[measure][0]
-    for i in range(len(arrays)):
-        for j in range(len(arrays)):
-            assert bound(arrays[i], arrays[j], **kwargs) <= \
-                distance(arrays[i], arrays[j], **kwargs) + 1e-9
+    for query in arrays:
+        assert_sound(measure, query, arrays, **MEASURE_KWARGS[measure][0])
+
+
+def _points(rng, length: int, width: int, grid: bool) -> np.ndarray:
+    """Random coordinates on a coarse grid (ties, exact zero costs) or drawn
+    uniformly; the time column (if any) never decreases."""
+    if grid:
+        coords = rng.integers(-4, 5, size=(length, 2)) * 0.25
+    else:
+        coords = rng.uniform(-3.0, 3.0, size=(length, 2))
+    if width == 2:
+        return coords
+    times = np.cumsum(rng.integers(0, 3, size=(length, 1)) * 0.5, axis=0)
+    return np.hstack([coords, times])
+
+
+def _shaped(rng, kind: str, width: int, grid: bool,
+            query: np.ndarray | None = None) -> np.ndarray:
+    if kind == "one_point":
+        return _points(rng, 1, width, grid)
+    if kind == "duplicate":
+        return np.repeat(_points(rng, 1, width, grid), rng.integers(2, 7), axis=0)
+    if kind == "copy":  # equal length, zero cost
+        return query.copy()
+    return _points(rng, int(rng.integers(1, 9)), width, grid)
+
+
+@st.composite
+def degenerate_fleets(draw, with_time: bool):
+    """A query and a ragged fleet mixing one-point, all-duplicate, exact-copy
+    and random trajectories, all 2-D or all 3-D (spatiotemporal).
+
+    Hypothesis picks the shapes; a drawn seed fills in the coordinates.
+    """
+    width = 3 if with_time else draw(st.sampled_from([2, 3]))
+    grid = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    query = _shaped(rng, draw(st.sampled_from(["ragged", "one_point", "duplicate"])),
+                    width, grid)
+    kinds = draw(st.lists(st.sampled_from(["ragged", "one_point", "duplicate", "copy"]),
+                          min_size=1, max_size=6))
+    return query, [_shaped(rng, kind, width, grid, query) for kind in kinds]
+
+
+@pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_bound_sound_on_degenerate_fleets(measure, data):
+    """0 ≤ bound ≤ the textbook distance on the shapes that break envelopes."""
+    query, candidates = data.draw(degenerate_fleets(measure in SPATIOTEMPORAL))
+    kwargs = data.draw(st.sampled_from(MEASURE_KWARGS[measure]))
+    assert_sound(measure, query, candidates, **kwargs)
 
 
 def test_every_registered_distance_has_a_lower_bound():
-    assert set(available_distances()) <= set(available_lower_bounds())
+    assert set(available_distances()) <= set(available_batch_lower_bounds())
 
 
 def test_precomputed_summaries_do_not_change_the_bound():
     rng = np.random.default_rng(11)
     a = rng.uniform(0.0, 1.0, size=(20, 3))
-    b = rng.uniform(0.0, 1.0, size=(15, 3))
-    for measure in available_lower_bounds():
+    candidates = [rng.uniform(0.0, 1.0, size=(length, 3)) for length in (15, 4, 1)]
+    summaries = [TrajectorySummary.of(candidate) for candidate in candidates]
+    for measure in available_batch_lower_bounds():
         kwargs = MEASURE_KWARGS[measure][0]
-        bound = get_lower_bound(measure)
-        plain = bound(a, b, **kwargs)
-        summarised = bound(a, b, summary=TrajectorySummary.of(b),
-                           query_summary=TrajectorySummary.of(a), **kwargs)
-        assert summarised == pytest.approx(plain, abs=1e-12), measure
+        bound = get_batch_lower_bound(measure)
+        plain = bound(a, StackedSummaries.of(candidates), TrajectorySummary.of(a),
+                      **kwargs)
+        summarised = bound(a, StackedSummaries.of(candidates, summaries),
+                           TrajectorySummary.of(a), **kwargs)
+        np.testing.assert_array_equal(summarised, plain, err_msg=measure)
 
 
 def test_summary_fields():
@@ -113,7 +172,6 @@ def test_summary_fields():
     np.testing.assert_allclose(summary.first, [0.0, 1.0])
     np.testing.assert_allclose(summary.last, [1.0, 2.0])
     np.testing.assert_allclose(summary.point_sum, [7.0, 6.5])
-    assert not summary.has_time
     # Pieces overlap by one point so polyline segments stay inside some box.
     assert summary.segment_starts.tolist() == [0, 2]
     assert summary.segment_ends.tolist() == [2, 3]
@@ -123,51 +181,48 @@ def test_identical_trajectories_bound_to_zero():
     rng = np.random.default_rng(5)
     spatial = rng.uniform(size=(12, 2))
     temporal = np.hstack([spatial, np.linspace(0, 1, 12)[:, None]])
-    for measure in available_lower_bounds():
+    for measure in available_batch_lower_bounds():
         kwargs = MEASURE_KWARGS[measure][0]
         points = temporal if measure in SPATIOTEMPORAL else spatial
-        assert lower_bound(measure, points, points, **kwargs) == pytest.approx(0.0)
+        assert bounds_of(measure, points, [points], **kwargs)[0] == pytest.approx(0.0)
 
 
 def test_registry_rejects_duplicates_and_unknown_names_are_zero():
     with pytest.raises(KeyError):
-        register_lower_bound("dtw")(lambda *args, **kwargs: 0.0)
-    assert get_lower_bound("no-such-measure") is None
-    assert lower_bound("no-such-measure", np.zeros((2, 2)), np.ones((2, 2))) == 0.0
+        register_batch_lower_bound("dtw")(lambda *args, **kwargs: 0.0)
+    assert get_batch_lower_bound("no-such-measure") is None
+    index = TrajectoryIndex([np.ones((2, 2)), np.zeros((3, 2))])
+    np.testing.assert_array_equal(
+        index.lower_bounds(np.zeros((2, 2)), "no-such-measure"), [0.0, 0.0])
 
 
-# ------------------------------------------------------------- batch bound parity
-def test_every_lower_bound_has_a_batch_twin():
-    assert set(available_lower_bounds()) == set(available_batch_lower_bounds())
-
-
+# --------------------------------------------------------- stacking independence
 @pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
 def test_index_lower_bounds_unchanged_by_vectorisation(measure):
-    """The stacked one-pass bounds must equal the per-candidate loop's values.
+    """Scoring every candidate in one stacked pass equals scoring each alone.
 
-    Covers ragged lengths (including single-point and duplicated trajectories)
-    and every kwargs variant; the banded-DTW variant exercises the per-candidate
-    fallback through the same public entry point.
+    Padding to a common piece count repeats the final box, and the
+    concatenated per-candidate reductions never mix candidates, so the index's
+    values must match a one-candidate stack per trajectory.  Covers ragged
+    lengths (including single-point and duplicated trajectories) and every
+    kwargs variant, banded DTW included.
     """
     rng = np.random.default_rng(13)
     with_time = measure in SPATIOTEMPORAL
     candidates = random_trajectories(rng, with_time=with_time)
     index = TrajectoryIndex(candidates)
-    bound = get_lower_bound(measure)
     for kwargs in MEASURE_KWARGS[measure]:
         for query in (candidates[0], candidates[5], candidates[-1]):
             vectorised = index.lower_bounds(query, measure, **kwargs)
-            query_summary = TrajectorySummary.of(query)
-            reference = np.array([
-                bound(query, candidate, summary=summary,
-                      query_summary=query_summary, **kwargs)
-                for candidate, summary in zip(index.arrays, index.summaries)])
+            reference = np.concatenate([
+                bounds_of(measure, query, [candidate], **kwargs)
+                for candidate in index.arrays])
             np.testing.assert_allclose(vectorised, reference, rtol=1e-10,
                                        atol=1e-12, err_msg=f"{measure} {kwargs}")
 
 
 def test_batch_bounds_are_sound(with_time_measures=("tp", "dita")):
-    """Vectorised bounds inherit the soundness property: bound ≤ true distance."""
+    """The index entry point inherits the soundness property."""
     for measure in available_batch_lower_bounds():
         with_time = measure in with_time_measures
         rng = np.random.default_rng(17)
@@ -182,29 +237,18 @@ def test_batch_bounds_are_sound(with_time_measures=("tp", "dita")):
             assert value >= 0.0
 
 
-def test_banded_dtw_batch_twin_matches_scalar_and_is_sound():
-    """The windowed stacked-envelope bound replaces the per-candidate fallback.
-
-    It must return actual values (not the None fallback sentinel), equal the
-    scalar sliding-envelope bound, and stay below the banded DTW distance.
-    """
+def test_banded_dtw_bound_is_sound_and_stack_independent():
+    """The windowed stacked envelope stays below banded DTW for every band and
+    gives each candidate the value a one-candidate stack gives it."""
     rng = np.random.default_rng(29)
     candidates = random_trajectories(rng, with_time=False)
-    stacked = StackedSummaries.of(candidates)
-    scalar = get_lower_bound("dtw")
-    batch = get_batch_lower_bound("dtw")
     distance = get_distance("dtw")
     for band in (0, 1, 3, 10):
         for query in (candidates[0], candidates[4], candidates[-1]):
-            query_summary = TrajectorySummary.of(query)
-            values = batch(query, stacked, query_summary, band=band)
-            assert values is not None
-            reference = np.array([
-                scalar(query, candidate, band=band,
-                       summary=TrajectorySummary.of(candidate),
-                       query_summary=query_summary)
-                for candidate in candidates])
-            np.testing.assert_allclose(values, reference, rtol=1e-10, atol=1e-12,
+            values = bounds_of("dtw", query, candidates, band=band)
+            alone = np.concatenate([bounds_of("dtw", query, [candidate], band=band)
+                                    for candidate in candidates])
+            np.testing.assert_allclose(values, alone, rtol=1e-10, atol=1e-12,
                                        err_msg=f"band={band}")
             for candidate, value in zip(candidates, values):
                 assert value <= distance(query, candidate, band=band) + 1e-9
@@ -239,15 +283,44 @@ def test_stacked_summaries_validation_and_shape():
     assert not stacked.has_time
     with pytest.raises(ValueError):
         StackedSummaries.of([])
-    with pytest.raises(ValueError):
-        StackedSummaries.of([rng.random((3, 2)), rng.random((3, 3))])
+    # Mixed widths stack at the common (minimum) column count.
+    mixed = StackedSummaries.of([rng.random((3, 2)), rng.random((4, 3))])
+    assert mixed.points.shape == (7, 2)
+    assert mixed.seg_mins.shape[-1] == mixed.firsts.shape[-1] == 2
+    assert not mixed.has_time
 
 
-def test_mixed_width_database_falls_back_to_loop():
-    """A database mixing (lon, lat) and (lon, lat, t) rows still yields bounds."""
+# ------------------------------------------------------------------ mixed widths
+def _mixed_fleet(rng):
+    """Ragged 2-D and 3-D trajectories interleaved, plus the two width groups."""
+    flat = [rng.random((length, 2)) for length in (5, 1, 9, 2)]
+    timed = [np.hstack([rng.random((length, 2)), np.arange(length)[:, None]])
+             for length in (4, 12, 1, 3)]
+    fleet = [trajectory for pair in zip(flat, timed) for trajectory in pair]
+    return fleet, flat, timed
+
+
+@pytest.mark.parametrize("measure", sorted(set(MEASURE_KWARGS) - SPATIOTEMPORAL))
+def test_mixed_width_stack_equals_width_groups(measure):
+    """A mixed fleet's stack gives every candidate exactly the bound its own
+    width group's stack gives it: spatial bounds read columns 0–1 only."""
     rng = np.random.default_rng(23)
-    arrays = [rng.random((5, 2)), rng.random((4, 3))]
-    index = TrajectoryIndex(arrays)
-    values = index.lower_bounds(rng.random((3, 2)), "hausdorff")
-    assert values.shape == (2,)
-    assert np.all(values >= 0.0)
+    fleet, flat, timed = _mixed_fleet(rng)
+    for kwargs in MEASURE_KWARGS[measure]:
+        for query in (rng.random((6, 2)), timed[1], flat[1]):
+            mixed = bounds_of(measure, query, fleet, **kwargs)
+            grouped = np.empty(len(fleet))
+            grouped[0::2] = bounds_of(measure, query, flat, **kwargs)
+            grouped[1::2] = bounds_of(measure, query, timed, **kwargs)
+            np.testing.assert_array_equal(mixed, grouped,
+                                          err_msg=f"{measure} {kwargs}")
+
+
+@pytest.mark.parametrize("measure", sorted(SPATIOTEMPORAL))
+def test_mixed_width_fleet_refuses_temporal_bounds(measure):
+    rng = np.random.default_rng(23)
+    fleet, _, timed = _mixed_fleet(rng)
+    with pytest.raises(ValueError, match="time column"):
+        bounds_of(measure, timed[0], fleet)
+    with pytest.raises(ValueError, match="time column"):
+        TrajectoryIndex(fleet).lower_bounds(timed[0], measure)

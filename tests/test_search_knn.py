@@ -50,6 +50,35 @@ def test_knn_search_matches_knn_from_matrix(city, spatial, measure, k):
         assert result.stats.num_refined + result.stats.num_pruned == len(arrays) - 1
 
 
+@pytest.fixture(scope="module")
+def mixed(city):
+    """The city fleet with every other trajectory cut to (lon, lat) only."""
+    return [points if position % 2 else points[:, :2].copy()
+            for position, points in enumerate(city)]
+
+
+@pytest.mark.parametrize("measure", ["dtw", "hausdorff", "edr"])
+def test_knn_search_over_mixed_widths_matches_knn_from_matrix(mixed, measure):
+    """Shards mixing 2-D and 3-D members stack at their common width."""
+    kwargs = MEASURE_KWARGS.get(measure, {})
+    engine = MatrixEngine(cache=None)
+    index = TrajectoryIndex(mixed, shard_columns=3, shard_rows=3)
+    matrix = engine.cross(mixed[:4], mixed, measure, **kwargs)
+    expected = knn_from_matrix(matrix, 5, exclude_self=True)
+    for query in range(4):
+        result = knn_search(index, mixed[query], 5, measure=measure, engine=engine,
+                            exclude=query, **kwargs)
+        np.testing.assert_array_equal(result.indices, expected[query])
+        np.testing.assert_allclose(result.distances, matrix[query][result.indices],
+                                   rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("measure", sorted(SPATIOTEMPORAL))
+def test_knn_search_over_mixed_widths_refuses_temporal_measures(mixed, measure):
+    with pytest.raises(ValueError, match="time column"):
+        knn_search(TrajectoryIndex(mixed), mixed[1], 3, measure=measure)
+
+
 def test_knn_search_prunes(spatial):
     """On route-clustered data the lower bounds must actually skip refinements."""
     dataset = generate_dataset("chengdu", size=80, seed=2)

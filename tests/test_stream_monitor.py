@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from repro.data import BoundingBox, generate_stream_workload
-from repro.engine import StreamingEngine, get_batch_kernel
+from repro.distances import knn_from_matrix
+from repro.engine import MatrixEngine, StreamingEngine, get_batch_kernel
 from repro.obs import snapshot
 from repro.obs.export import set_jsonl_path
 from repro.search import StreamAlert, StreamMonitor
@@ -62,6 +63,54 @@ def test_monitor_topk_matches_brute_force(measure, kwargs):
         got = [(distance, trajectory_id)
                for trajectory_id, distance in monitor.topk()]
         assert got == expected  # exact distances, exact membership, exact order
+
+
+EVERYWHERE = BoundingBox(-10.0, -10.0, 10.0, 10.0)
+
+
+def _mixed_walks(rng, count, length):
+    """Random walks where every odd stream carries a (strictly rising) time column."""
+    walks = _walks(rng, count, length)
+    return [np.hstack([walk, np.arange(length, dtype=np.float64)[:, None]])
+            if position % 2 else walk for position, walk in enumerate(walks)]
+
+
+@pytest.mark.parametrize("measure,kwargs", [("dtw", {}), ("edr", {"epsilon": 0.3}),
+                                            ("frechet", {})])
+def test_monitor_topk_over_mixed_widths_matches_knn_from_matrix(measure, kwargs):
+    """A fleet mixing (n, 2) and (n, 3) streams stacks its stale candidates at
+    the common width; the watch set stays the exact top-k of the full matrix."""
+    rng = np.random.default_rng(41)
+    windows = _mixed_walks(rng, 16, 9)
+    pattern = np.cumsum(rng.normal(scale=0.05, size=(7, 2)), axis=0)
+    monitor = StreamMonitor([w.copy() for w in windows], pattern, EVERYWHERE,
+                            measure=measure, k=4, **kwargs)
+    engine = MatrixEngine(cache=None)
+    for _ in range(5):
+        appends = {}
+        for trajectory_id in rng.choice(16, size=5, replace=False).tolist():
+            last = windows[trajectory_id][-1]
+            points = np.tile(last, (2, 1))
+            points[:, :2] += np.cumsum(rng.normal(scale=0.05, size=(2, 2)), axis=0)
+            if points.shape[1] == 3:
+                points[:, 2] += [1.0, 2.0]
+            appends[trajectory_id] = points
+            windows[trajectory_id] = np.concatenate([windows[trajectory_id], points])
+        monitor.tick(appends)
+        matrix = engine.cross([pattern], windows, measure, **kwargs)
+        expected = knn_from_matrix(matrix, 4, exclude_self=False)[0]
+        got = monitor.topk()
+        assert [trajectory_id for trajectory_id, _ in got] == expected.tolist()
+        np.testing.assert_allclose([distance for _, distance in got],
+                                   matrix[0][expected], rtol=0, atol=1e-9)
+
+
+def test_monitor_over_mixed_widths_refuses_temporal_measures():
+    rng = np.random.default_rng(43)
+    windows = _mixed_walks(rng, 6, 5)
+    monitor = StreamMonitor(windows, windows[1], EVERYWHERE, measure="dita", k=2)
+    with pytest.raises(ValueError, match="time column"):
+        monitor.tick({})
 
 
 def test_monitor_alerts_track_membership_changes(tmp_path):

@@ -500,3 +500,15 @@ def test_non_finite_input_is_rejected(call):
     assert engine.window_length("s") == 2
     assert engine.value(pair) == _reference("dtw", np.array([[0.0, 0.0], [0.1, 0.0]]),
                                             engine.window("s"), {})
+
+
+@pytest.mark.parametrize("measure", ["erp", "edr", "lcss", "frechet", "dita"])
+def test_watch_rejects_band_for_non_dtw_measures(measure):
+    """``band=`` narrows DTW only; any other measure refuses it instead of
+    silently computing the unbanded value."""
+    engine = StreamingEngine(backend=NumpyBackend())
+    points = [[0.0, 0.0, 0.0], [0.1, 0.1, 1.0]]
+    engine.register_stream("s", points=points)
+    with pytest.raises(ValueError, match="band"):
+        engine.watch(points, "s", measure, band=3)
+    assert engine.value(engine.watch(points, "s", "dtw", band=3)) == 0.0
