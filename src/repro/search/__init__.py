@@ -5,10 +5,11 @@ distance matrices into an online search path:
 
 * :mod:`repro.search.bounds` — cheap per-measure lower bounds (LB_Keogh-style
   envelopes, MBR/endpoint separation, length-difference and reference-point
-  bounds) behind a ``register_batch_lower_bound`` registry; each bound scores
-  a query against every candidate of a :class:`StackedSummaries` in a few
-  array passes, and fleets mixing 2-D and 3-D trajectories stack at their
-  common width;
+  bounds) behind a ``register_batch_lower_bound`` registry, plus cheaper
+  ``register_filter_stage`` stages (DTW's endpoint and row envelopes) that
+  exact search cascades through; each bound scores a query against every
+  candidate of a :class:`StackedSummaries` in a few array passes, and fleets
+  mixing 2-D and 3-D trajectories stack at their common width;
 * :mod:`repro.search.index` — :class:`TrajectoryIndex`, an inverted cell index
   (grid or quadtree) plus per-trajectory summaries;
 * :mod:`repro.search.knn` — :func:`knn_search`, exact filter-and-refine top-k
@@ -26,7 +27,9 @@ from .bounds import (
     TrajectorySummary,
     StackedSummaries,
     register_batch_lower_bound,
+    register_filter_stage,
     get_batch_lower_bound,
+    filter_stages,
     available_batch_lower_bounds,
 )
 from .index import TrajectoryIndex
@@ -38,8 +41,8 @@ from .service import SearchService, PendingQuery, DEFAULT_BATCH_SIZE, CACHE_TTL_
 
 __all__ = [
     "TrajectorySummary", "StackedSummaries",
-    "register_batch_lower_bound", "get_batch_lower_bound",
-    "available_batch_lower_bounds",
+    "register_batch_lower_bound", "register_filter_stage", "get_batch_lower_bound",
+    "filter_stages", "available_batch_lower_bounds",
     "TrajectoryIndex",
     "COMPILED_ABANDON_MEASURES", "DEFAULT_ABANDON_MEASURES", "SearchStats",
     "SearchResult", "default_abandon_measures", "knn_search",

@@ -19,6 +19,17 @@ exact (everything is refined).  Query points are broadcast against the stacked
 candidate boxes, and candidate points are scored against the query's boxes in
 one concatenated pass reduced per candidate with ``ufunc.reduceat``.
 
+A measure may also register cheaper *filter stages* with
+:func:`register_filter_stage` — same signature, each sound on its own, listed
+cheapest first by :func:`filter_stages`.  Exact kNN search cascades through
+them UCR-suite style (Rakthanmanon et al., KDD 2012: LB_Kim, then LB_Keogh,
+then the DP): the first stage scores every candidate and seeds τ, and each
+later stage, the full bound last, scores only the previous stage's survivors
+through :meth:`StackedSummaries.take`.  DTW registers its O(1)-per-candidate
+endpoint bound and its row (query-side) envelope; the full bound adds the
+column envelope, whose pass over every candidate point is the costly part.
+Every other measure has the full bound alone.
+
 A summary does not store a single MBR but a short chain of *piecewise* boxes
 (up to :data:`DEFAULT_SEGMENTS`, consecutive pieces overlapping by one point so
 polyline segments never escape them).  Trajectories are elongated, so one box
@@ -50,7 +61,9 @@ __all__ = [
     "TrajectorySummary",
     "StackedSummaries",
     "register_batch_lower_bound",
+    "register_filter_stage",
     "get_batch_lower_bound",
+    "filter_stages",
     "available_batch_lower_bounds",
 ]
 
@@ -180,6 +193,34 @@ class StackedSummaries:
             offsets=offsets,
         )
 
+    def take(self, positions) -> "StackedSummaries":
+        """The sub-stack of the candidates at ``positions``, in that order.
+
+        Rows keep this stack's piece count and column width, so every bound
+        gives each kept candidate exactly the value it gets from
+        :meth:`of` over those members alone (padding repeats a final box,
+        which never changes a min-over-pieces); a sub-stack of a mixed-width
+        stack still has no time column for the temporal bounds.
+        """
+        positions = np.asarray(positions, dtype=np.int64)
+        lengths = self.lengths[positions]
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        # Each kept candidate's point rows, shifted from its old offset.
+        rows = (np.repeat(self.offsets[positions] - offsets[:-1], lengths)
+                + np.arange(offsets[-1]))
+        return StackedSummaries(
+            lengths=lengths,
+            firsts=self.firsts[positions],
+            lasts=self.lasts[positions],
+            point_sums=self.point_sums[positions],
+            seg_mins=self.seg_mins[positions],
+            seg_maxs=self.seg_maxs[positions],
+            seg_starts=self.seg_starts[positions],
+            seg_ends=self.seg_ends[positions],
+            points=self.points[rows],
+            offsets=offsets,
+        )
+
     def __len__(self) -> int:
         return len(self.lengths)
 
@@ -190,6 +231,7 @@ class StackedSummaries:
 
 # ---------------------------------------------------------------------- registry
 _BATCH_LOWER_BOUNDS: dict[str, Callable] = {}
+_FILTER_STAGES: dict[str, dict[str, Callable]] = {}
 
 #: Soft cap on broadcast temporaries (elements per chunk) in the stacked passes.
 _BATCH_CHUNK_ELEMENTS = 2_000_000
@@ -208,9 +250,36 @@ def register_batch_lower_bound(name: str):
     return decorator
 
 
-def get_batch_lower_bound(name: str) -> Callable | None:
-    """Lower bound registered for ``name``, or None when the measure has none."""
+def register_filter_stage(name: str, stage: str):
+    """Decorator registering a cheaper filter stage of the measure ``name``.
+
+    A stage has the bound signature and must be sound on its own; stages run
+    in registration order, so register the cheapest first.  Exact search
+    scores the whole fleet with the first stage only and each later stage
+    (and finally the full bound) only on the previous stage's survivors.
+    """
+
+    def decorator(func: Callable) -> Callable:
+        stages = _FILTER_STAGES.setdefault(name.lower(), {})
+        if stage in stages:
+            raise KeyError(f"filter stage '{stage}' for '{name}' already registered")
+        stages[stage] = func
+        return func
+
+    return decorator
+
+
+def get_batch_lower_bound(name: str, stage: str | None = None) -> Callable | None:
+    """Lower bound registered for ``name`` (its filter ``stage`` when given),
+    or None when the measure has none."""
+    if stage is not None:
+        return _FILTER_STAGES.get(name.lower(), {}).get(stage)
     return _BATCH_LOWER_BOUNDS.get(name.lower())
+
+
+def filter_stages(name: str) -> tuple[str, ...]:
+    """The cheaper filter stages of ``name``, cheapest first (often none)."""
+    return tuple(_FILTER_STAGES.get(name.lower(), ()))
 
 
 def available_batch_lower_bounds() -> list[str]:
@@ -293,6 +362,23 @@ def _interior_sums(values: np.ndarray, offsets: np.ndarray,
     return np.where(lengths > 2, sums, 0.0)
 
 
+def _endpoint_costs(a: np.ndarray,
+                    stacked: StackedSummaries) -> tuple[np.ndarray, np.ndarray]:
+    """Costs of the cells every warping path or coupling holds: first points
+    paired, and last points paired."""
+    first = np.linalg.norm(stacked.firsts[:, :2] - a[0], axis=-1)
+    last = np.linalg.norm(stacked.lasts[:, :2] - a[-1], axis=-1)
+    return first, last
+
+
+def _single_cell(a: np.ndarray, stacked: StackedSummaries, first: np.ndarray,
+                 values: np.ndarray) -> np.ndarray:
+    """``values`` with one-point-vs-one-point pairs cut to their one cell."""
+    if len(a) == 1:
+        return np.where(stacked.lengths == 1, first, values)
+    return values
+
+
 def _batch_lb_dtw_banded(a: np.ndarray, stacked: StackedSummaries,
                          band: int) -> np.ndarray:
     """Sliding-envelope (LB_Keogh) bound for banded DTW over the stacked boxes.
@@ -305,8 +391,7 @@ def _batch_lb_dtw_banded(a: np.ndarray, stacked: StackedSummaries,
     box *and* range, so they never change the windowed minimum.
     """
     n = len(a)
-    first = np.linalg.norm(stacked.firsts[:, :2] - a[0], axis=-1)
-    last = np.linalg.norm(stacked.lasts[:, :2] - a[-1], axis=-1)
+    first, last = _endpoint_costs(a, stacked)
     count = len(stacked)
     interior = np.zeros(count)
     if n > 2:
@@ -332,10 +417,17 @@ def _batch_lb_dtw_banded(a: np.ndarray, stacked: StackedSummaries,
                           <= window_high[:, :, None]))
             interior[start:stop] = np.where(allowed, gaps, np.inf) \
                 .min(axis=-1).sum(axis=0)
-    values = first + interior + last
-    if n == 1:
-        values = np.where(stacked.lengths == 1, first, values)
-    return values
+    return _single_cell(a, stacked, first, first + interior + last)
+
+
+def _dtw_row_sum(a: np.ndarray, stacked: StackedSummaries, first: np.ndarray,
+                 last: np.ndarray) -> np.ndarray:
+    """Unbanded row envelope: endpoints plus each interior query point's gap
+    to the candidate's nearest piece box."""
+    row_interior = _stacked_gaps(a[1:-1], stacked.seg_mins[..., :2],
+                                 stacked.seg_maxs[..., :2]).sum(axis=0) \
+        if len(a) > 2 else np.zeros(len(stacked))
+    return first + row_interior + last
 
 
 @register_batch_lower_bound("dtw")
@@ -351,23 +443,41 @@ def batch_lb_dtw(query, stacked: StackedSummaries,
     min bounded by the nearest piece box.  Unbanded, the symmetric
     candidate-side sum applies too; banded, see :func:`_batch_lb_dtw_banded`.
     """
-    if band is not None:
-        return _batch_lb_dtw_banded(as_points(query), stacked, band)
     a = as_points(query)
-    n = len(a)
-    first = np.linalg.norm(stacked.firsts[:, :2] - a[0], axis=-1)
-    last = np.linalg.norm(stacked.lasts[:, :2] - a[-1], axis=-1)
-    row_interior = _stacked_gaps(a[1:-1], stacked.seg_mins[..., :2],
-                                 stacked.seg_maxs[..., :2]).sum(axis=0) \
-        if n > 2 else np.zeros(len(stacked))
-    row_sum = first + row_interior + last
+    if band is not None:
+        return _batch_lb_dtw_banded(a, stacked, band)
+    first, last = _endpoint_costs(a, stacked)
+    row_sum = _dtw_row_sum(a, stacked, first, last)
     gaps = _concat_point_gaps(stacked.points[:, :2], query_summary)
     col_interior = _interior_sums(gaps, stacked.offsets, stacked.lengths)
     col_sum = first + col_interior + last
-    values = np.maximum(row_sum, col_sum)
-    if n == 1:
-        values = np.where(stacked.lengths == 1, first, values)
-    return values
+    return _single_cell(a, stacked, first, np.maximum(row_sum, col_sum))
+
+
+@register_filter_stage("dtw", "endpoints")
+def lb_dtw_endpoints(query, stacked: StackedSummaries,
+                     query_summary: TrajectorySummary, band: int | None = None
+                     ) -> np.ndarray:
+    """O(1)-per-candidate endpoint bound (LB_Kim): d(a₀, b₀) + d(a₋₁, b₋₁).
+
+    Every path, banded or not, holds the cells (0, 0) and (n−1, m−1).
+    """
+    a = as_points(query)
+    first, last = _endpoint_costs(a, stacked)
+    return _single_cell(a, stacked, first, first + last)
+
+
+@register_filter_stage("dtw", "rows")
+def lb_dtw_rows(query, stacked: StackedSummaries,
+                query_summary: TrajectorySummary, band: int | None = None
+                ) -> np.ndarray:
+    """The row (query-side) envelope of :func:`batch_lb_dtw` alone: it skips
+    the pass over every candidate point that the column envelope needs."""
+    a = as_points(query)
+    if band is not None:
+        return _batch_lb_dtw_banded(a, stacked, band)
+    first, last = _endpoint_costs(a, stacked)
+    return _single_cell(a, stacked, first, _dtw_row_sum(a, stacked, first, last))
 
 
 @register_batch_lower_bound("erp")
@@ -451,8 +561,7 @@ def batch_lb_frechet(query, stacked: StackedSummaries,
     the coupling maximum dominates each of those pair distances.
     """
     a = as_points(query)
-    first = np.linalg.norm(stacked.firsts[:, :2] - a[0], axis=-1)
-    last = np.linalg.norm(stacked.lasts[:, :2] - a[-1], axis=-1)
+    first, last = _endpoint_costs(a, stacked)
     forward = _stacked_gaps(a, stacked.seg_mins[..., :2],
                             stacked.seg_maxs[..., :2]).max(axis=0)
     gaps = _concat_point_gaps(stacked.points[:, :2], query_summary)

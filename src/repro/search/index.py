@@ -480,24 +480,43 @@ class TrajectoryIndex:
             return np.zeros(0, dtype=np.int64)
         return np.sort(np.concatenate(hits))
 
-    def lower_bounds(self, query, measure: str, **measure_kwargs) -> np.ndarray:
-        """Registered lower bound of ``measure`` from ``query`` to every trajectory.
+    def lower_bounds(self, query, measure: str, ids=None, stage: str | None = None,
+                     query_summary: TrajectorySummary | None = None,
+                     **measure_kwargs) -> np.ndarray:
+        """Registered lower bound of ``measure`` from ``query`` to trajectories.
+
+        Returns one value per trajectory id, or per entry of ``ids`` (in that
+        order) when a subset is given.  ``stage`` names one of the measure's
+        cheaper filter stages (:func:`~repro.search.bounds.filter_stages`);
+        None is the full bound.  ``query_summary`` lets a caller that scores
+        several stages summarise the query once.
 
         Fans out across shards: the bound scores each shard's candidates in one
-        vectorised pass over that shard's stacked piecewise boxes, scattered
-        back through the member table.  Stacking pads with duplicated final
-        boxes, which never change a min-over-pieces, so per-shard stacking
-        gives the values one stack over the whole index gives.  Measures
-        without a registered bound yield all-zero bounds, which keeps
-        filter-and-refine exact (it simply refines everything).
+        vectorised pass over that shard's stacked piecewise boxes (a sub-stack
+        for a subset), scattered back through the member table.  Stacking pads
+        with duplicated final boxes, which never change a min-over-pieces, so
+        per-shard stacking gives the values one stack over the whole index
+        gives.  Measures without a registered bound yield all-zero bounds,
+        which keeps filter-and-refine exact (it simply refines everything).
         """
-        bound = get_batch_lower_bound(measure)
+        ids = np.arange(len(self)) if ids is None else np.asarray(ids, dtype=np.int64)
+        bound = get_batch_lower_bound(measure, stage)
         if bound is None:
-            return np.zeros(len(self))
+            if stage is not None:
+                raise KeyError(f"measure '{measure}' has no filter stage '{stage}'")
+            return np.zeros(len(ids))
         points = np.asarray(getattr(query, "points", query), dtype=np.float64)
-        query_summary = TrajectorySummary.of(points)
+        if query_summary is None:
+            query_summary = TrajectorySummary.of(points)
         values = np.empty(len(self))
+        wanted = np.zeros(len(self), dtype=bool)
+        wanted[ids] = True
         for shard in self._shards.values():
-            values[shard.members] = bound(points, self._shard_stacked(shard),
-                                          query_summary, **measure_kwargs)
-        return values
+            local = np.flatnonzero(wanted[shard.members])
+            if local.size:
+                stacked = self._shard_stacked(shard)
+                if local.size < len(shard.members):
+                    stacked = stacked.take(local)
+                values[shard.members[local]] = bound(points, stacked, query_summary,
+                                                     **measure_kwargs)
+        return values[ids]

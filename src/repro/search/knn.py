@@ -8,6 +8,14 @@ best-so-far heap tracks the current k-th distance τ.  As soon as the next bound
 exceeds τ the remaining candidates are abandoned: their true distances can only
 be larger, so the pruned tail provably contains no neighbour.
 
+A measure with cheaper filter stages (DTW: endpoints, then the row envelope)
+is scored as a cascade instead of with its full bound for everyone: the
+cheapest stage ranks every candidate, its head is refined until the heap holds
+k — which seeds τ — and each later stage, the full bound last, scores only the
+candidates the previous stage left within τ.  Survivors then refine in
+full-bound order as above.  ``search.cascade.<stage>.in`` / ``.out`` count the
+candidates each stage scored and passed on.
+
 Refinement is itself τ-aware: once the heap is full, every refinement batch
 carries per-pair abandon thresholds (the current τ) down through
 ``MatrixEngine.pairs`` into the wavefront kernels, which stop a candidate's DP
@@ -18,10 +26,12 @@ bound: its true distance provably exceeds τ (and τ only shrinks), so it can
 never belong to the final top-k.
 
 The result is **identical** to ``knn_from_matrix`` on the full cross matrix,
-including tie-breaking: candidates are only abandoned when their bound is
-*strictly* above τ, and refined survivors are ordered by ``(distance, index)`` —
-the same ascending ``(distance, index)`` order ``knn_from_matrix`` returns (it
-computes that order by partition plus a tie fix-up).
+including tie-breaking, whatever order candidates refine in: candidates are
+only abandoned when their bound is above τ padded by the kernels' float slack
+(a bound may round a few ulps above the exact DP value, so one just above a
+distance tying τ still refines), and refined survivors are ordered by
+``(distance, index)`` — the same ascending order ``knn_from_matrix`` returns
+(it computes that order by partition plus a tie fix-up).
 """
 
 from __future__ import annotations
@@ -35,8 +45,10 @@ import numpy as np
 
 from ..distances.base import checked_points
 from ..engine.executor import CanonicalArrays
+from ..engine.kernels import _abandon_cutoff
 from ..obs import counter
 from ..obs.spans import span
+from .bounds import TrajectorySummary, filter_stages
 from .index import TrajectoryIndex
 
 __all__ = ["SearchStats", "SearchResult", "knn_search", "DEFAULT_ABANDON_MEASURES",
@@ -56,6 +68,13 @@ DEFAULT_ABANDON_MEASURES = frozenset({"dtw", "dita", "frechet"})
 #: is a handful of native instructions instead of an interpreter sweep:
 #: abandoning also wins wall-clock for the edit/gap measures, so they join in.
 COMPILED_ABANDON_MEASURES = DEFAULT_ABANDON_MEASURES | frozenset({"erp", "edr", "lcss"})
+
+
+#: Head of the cheapest stage's order, in multiples of k, that the full bound
+#: re-ranks before seeding τ when refinement batches are smaller than it.  On
+#: route-clustered fleets a 4k head holds nearly all of the full bound's own
+#: best k, so seeding wastes no more DP cells than ranking everyone by it.
+SEED_HEAD = 4
 
 
 def default_abandon_measures(backend=None) -> frozenset:
@@ -212,7 +231,11 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
         when omitted), so kernel selection matches matrix construction exactly.
     batch_size:
         Candidates refined per engine call.  1 maximises pruning (τ tightens
-        after every distance); larger batches amortise kernel dispatch.
+        after every distance); larger batches amortise kernel dispatch.  In a
+        cascade the first batches — refined until the heap holds k, which
+        seeds τ — are the head of the cheapest stage's order; when batches
+        are smaller than ``SEED_HEAD · k``, that head is re-ranked by the
+        full bound first.
     exclude:
         Index / indices never returned (e.g. the query itself when it belongs to
         the database) — the counterpart of ``knn_from_matrix(exclude_self=True)``.
@@ -252,22 +275,35 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
         abandon = (isinstance(measure, str)
                    and measure.lower() in default_abandon_measures(backend))
     excluded = _normalise_exclude(exclude)
-    num_candidates = sum(1 for i in range(len(index)) if i not in excluded)
+    skipped = [i for i in excluded if 0 <= i < len(index)]
+    num_candidates = len(index) - len(skipped)
     if k > num_candidates:
         raise ValueError(f"k={k} exceeds the {num_candidates} available candidates "
                          f"({len(index)} indexed{', after exclusions' if excluded else ''})")
+    candidates = np.delete(np.arange(len(index)), skipped)
+    query_summary = TrajectorySummary.of(query_points)
+    stages = filter_stages(measure)
+    lower_bound_seconds = 0.0
 
     # Phase spans mirror the perf_counter fields of SearchStats rather than
     # replace them: SearchStats must stay populated with REPRO_OBS=off, and a
     # disabled span measures nothing.
-    start = time.perf_counter()
-    with span("search.lower_bound", measure=measure):
-        bounds = index.lower_bounds(query_points, measure, **measure_kwargs)
-    lower_bound_seconds = time.perf_counter() - start
-    with span("search.index_probe", measure=measure):
-        order = np.argsort(bounds, kind="stable")
-        if excluded:
-            order = order[~np.isin(order, list(excluded))]
+    def score(ids, stage):
+        nonlocal lower_bound_seconds
+        if ids is not None and len(ids) == 0:
+            return np.zeros(0)
+        start = time.perf_counter()
+        with span("search.lower_bound", measure=measure, stage=stage or "full"):
+            values = index.lower_bounds(query_points, measure, ids=ids, stage=stage,
+                                        query_summary=query_summary,
+                                        **measure_kwargs)
+        lower_bound_seconds += time.perf_counter() - start
+        return values
+
+    def ranked(ids, values):
+        with span("search.index_probe", measure=measure):
+            order = np.argsort(values, kind="stable")
+            return ids[order], values[order]
 
     owner_cache = None
     if arena is None:
@@ -279,31 +315,46 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
     refine_seconds = 0.0
     num_batches = 0
     num_abandoned = 0
-    position = 0
-    try:
+
+    def cutoff() -> float:
+        # τ padded by the kernels' floating-point slack: a bound may exceed
+        # the exact DP value by a few ulps, so one sitting just above a
+        # distance that ties τ must still be refined.
+        return _abandon_cutoff(-heap[0][0]) if len(heap) == k else np.inf
+
+    def refine(order, bounds=None) -> int:
+        """Refine ``order`` in batches while the heap is short of k or, given
+        the ascending ``bounds``, while the next bound is within the cutoff;
+        returns how many were refined."""
+        nonlocal refine_seconds, num_batches, num_abandoned
+        position = 0
         with span("search.refine", measure=measure):
             while position < len(order):
+                stop = min(position + batch_size, len(order))
+                if len(heap) == k:
+                    if bounds is None:
+                        break
+                    stop = position + int(np.searchsorted(
+                        bounds[position:stop], cutoff(), side="right"))
+                if stop == position:
+                    break  # every remaining bound is above τ — abandon the tail
+                batch = order[position:stop].tolist()
+                position = stop
+                # With a full heap, refine under per-pair abandon thresholds: a
+                # pair whose in-kernel lower bound exceeds τ comes back as +inf,
+                # which — because τ only shrinks — can never displace a heap
+                # entry nor reach the top-k.
                 tau = -heap[0][0] if len(heap) == k else np.inf
-                batch: list[int] = []
-                while (position < len(order) and len(batch) < batch_size
-                       and (len(heap) < k or bounds[order[position]] <= tau)):
-                    batch.append(int(order[position]))
-                    position += 1
-                if not batch:
-                    break  # every remaining bound is strictly above τ — abandon the tail
-                # With a full heap, refine under per-pair abandon thresholds: a pair
-                # whose in-kernel lower bound exceeds τ comes back as +inf, which —
-                # because τ only shrinks — can never displace a heap entry nor reach
-                # the top-k.
                 thresholds = (np.full(len(batch), tau)
                               if abandon and np.isfinite(tau) else None)
                 start = time.perf_counter()
-                # Both sides ride through as CanonicalArrays: the engine skips its
-                # per-call asarray walk over database trajectories it has seen
-                # before.  ``arena`` (when pinned) is the cached shared-memory
-                # pack of those same arrays, joined by object identity.
+                # Both sides ride through as CanonicalArrays: the engine skips
+                # its per-call asarray walk over database trajectories it has
+                # seen before.  ``arena`` (when pinned) is the cached
+                # shared-memory pack of those same arrays, joined by identity.
                 distances = engine.pairs(CanonicalArrays([query_points] * len(batch)),
-                                         CanonicalArrays([index.arrays[i] for i in batch]),
+                                         CanonicalArrays([index.arrays[i]
+                                                          for i in batch]),
                                          measure, thresholds=thresholds, arena=arena,
                                          **measure_kwargs)
                 refine_seconds += time.perf_counter() - start
@@ -318,6 +369,36 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
                         heapq.heappush(heap, item)
                     elif item > heap[0]:
                         heapq.heapreplace(heap, item)
+        return position
+
+    def survivors(stage, values) -> np.ndarray:
+        kept = values <= cutoff()
+        counter(f"search.cascade.{stage}.in").add(len(values))
+        counter(f"search.cascade.{stage}.out").add(int(kept.sum()))
+        return kept
+
+    try:
+        if stages:
+            # Cascade: the cheapest stage ranks every candidate and its head
+            # seeds τ; each later stage (the full bound last) scores only the
+            # previous stage's survivors.  The full bound picks far better
+            # seeds than the cheapest stage, so the head's first SEED_HEAD·k
+            # are re-ranked by it — unless one batch takes them all anyway.
+            order, bounds = ranked(candidates, score(None, stages[0])[candidates])
+            head = SEED_HEAD * k if batch_size < SEED_HEAD * k else 0
+            rescored, rescored_bounds = ranked(order[:head], score(order[:head], None))
+            seeded = refine(np.concatenate([rescored, order[head:]]))
+            remaining, bounds = order[max(seeded, head):], bounds[max(seeded, head):]
+            for stage, following in zip(stages, stages[1:] + (None,)):
+                remaining = np.sort(remaining[survivors(stage, bounds)])
+                bounds = score(remaining, following)
+            remaining = np.concatenate([rescored[seeded:], remaining])
+            bounds = np.concatenate([rescored_bounds[seeded:], bounds])
+        else:
+            remaining, bounds = candidates, score(None, None)[candidates]
+        order, bounds = ranked(remaining, bounds)
+        kept = survivors("full", bounds)
+        refine(order[kept], bounds[kept])
     finally:
         if owner_cache is not None:
             owner_cache.unpin(arena)
@@ -326,9 +407,9 @@ def knn_search(index: TrajectoryIndex | Sequence, query, k: int, measure: str = 
     top = refined[:k]
     stats = SearchStats(
         num_database=len(index),
-        num_candidates=len(order),
+        num_candidates=num_candidates,
         num_refined=len(refined),
-        num_pruned=len(order) - len(refined),
+        num_pruned=num_candidates - len(refined),
         num_abandoned=num_abandoned,
         num_batches=num_batches,
         lower_bound_seconds=lower_bound_seconds,

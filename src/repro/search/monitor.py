@@ -20,11 +20,12 @@ composes three existing layers instead of inventing new machinery:
   :meth:`~repro.engine.streaming.StreamingEngine.values` (one stacked sweep
   over every frontier a round advances): while the heap holds fewer than
   ``k`` the next ``k − len(heap)`` candidates fill it, then every remaining
-  candidate whose bound is ``<=`` the kth distance τ refines in one call, and
-  refinement stops at the first bound past τ.  τ only shrinks, so every
-  candidate with a bound ``<=`` the final τ is evaluated exactly and the
-  maintained top-k is exact — same filter-and-refine contract as
-  :func:`~repro.search.knn_search`, ordered by ``(distance, id)``.
+  candidate whose bound is ``<=`` the kth distance τ (padded by the kernels'
+  float slack) refines in one call, and refinement stops at the first bound
+  past it.  τ only shrinks, so every candidate with a bound ``<=`` the final
+  τ is evaluated exactly and the maintained top-k is exact — same
+  filter-and-refine contract as :func:`~repro.search.knn_search`, ordered by
+  ``(distance, id)``.
 
 Top-k membership changes are returned as :class:`StreamAlert` records and
 emitted through the obs JSONL exporter (``kind="stream_alert"`` events via
@@ -45,6 +46,7 @@ import numpy as np
 
 from ..data.trajectory import BoundingBox
 from ..distances.base import checked_points
+from ..engine.kernels import _abandon_cutoff
 from ..engine.streaming import StreamingEngine
 from ..obs import counter, write_event
 from ..resilience import ResilienceError
@@ -255,7 +257,10 @@ class StreamMonitor:
                 # Every remaining candidate whose bound admits it under the
                 # current kth distance, in one call; the rest ascend past τ
                 # (which only shrinks), so they never extend their frontiers.
-                stop = int(np.searchsorted(bounds, -heap[0][0], side="right"))
+                # The cutoff pads τ by the kernels' floating-point slack: a
+                # bound a few ulps above a distance that ties τ stays in.
+                stop = int(np.searchsorted(bounds, _abandon_cutoff(-heap[0][0]),
+                                           side="right"))
                 if stop <= refined:
                     break
             batch = ranked[refined:stop]

@@ -6,7 +6,7 @@ tests check that property against the textbook distances of
 ``repro.distances`` — on random trajectory pairs, on route-clustered synthetic
 data and on hypothesis-drawn degenerate fleets (single points, all-duplicate
 points, ragged lengths, 3-D input, exact copies) — for every measure in the
-registry.
+registry and every cheaper filter stage a measure registers.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ from repro.search import (
     TrajectoryIndex,
     TrajectorySummary,
     available_batch_lower_bounds,
+    filter_stages,
     get_batch_lower_bound,
     register_batch_lower_bound,
+    register_filter_stage,
 )
 
 #: Per-measure kwargs variants the soundness property is checked under.
@@ -42,6 +44,18 @@ MEASURE_KWARGS = {
 
 SPATIOTEMPORAL = {"tp", "dita"}
 
+#: Every registered bound: each measure's full bound, plus its filter stages
+#: as ``"measure.stage"``.
+BOUNDS = sorted(MEASURE_KWARGS) + [f"{measure}.{stage}"
+                                   for measure in sorted(MEASURE_KWARGS)
+                                   for stage in filter_stages(measure)]
+
+
+def split(name: str) -> tuple[str, str | None]:
+    """``"dtw.rows"`` → ``("dtw", "rows")``; a bare measure is its full bound."""
+    measure, _, stage = name.partition(".")
+    return measure, stage or None
+
 
 def random_trajectories(rng: np.random.Generator, with_time: bool) -> list[np.ndarray]:
     """Assorted random trajectories: varied lengths, duplicates, single points."""
@@ -57,40 +71,42 @@ def random_trajectories(rng: np.random.Generator, with_time: bool) -> list[np.nd
     return trajectories
 
 
-def bounds_of(measure, query, candidates, **kwargs) -> np.ndarray:
-    """The registered bound from ``query`` to every candidate, in one stack."""
-    bound = get_batch_lower_bound(measure)
+def bounds_of(measure, query, candidates, stage=None, **kwargs) -> np.ndarray:
+    """The registered bound (or filter ``stage``) from ``query`` to every
+    candidate, in one stack."""
+    bound = get_batch_lower_bound(measure, stage)
     return bound(query, StackedSummaries.of(candidates), TrajectorySummary.of(query),
                  **kwargs)
 
 
-def assert_sound(measure, query, candidates, **kwargs):
+def assert_sound(name, query, candidates, **kwargs):
+    measure, stage = split(name)
     distance = get_distance(measure)
-    for candidate, value in zip(candidates,
-                                bounds_of(measure, query, candidates, **kwargs)):
+    for candidate, value in zip(candidates, bounds_of(measure, query, candidates,
+                                                      stage, **kwargs)):
         exact = distance(query, candidate, **kwargs)
         assert value <= exact + 1e-9, (
-            f"{measure} bound {value} exceeds distance {exact} for kwargs {kwargs}")
+            f"{name} bound {value} exceeds distance {exact} for kwargs {kwargs}")
         assert value >= 0.0
 
 
-@pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
+@pytest.mark.parametrize("measure", BOUNDS)
 def test_lower_bound_is_sound(measure):
     rng = np.random.default_rng(7)
-    trajectories = random_trajectories(rng, with_time=measure in SPATIOTEMPORAL)
-    for kwargs in MEASURE_KWARGS[measure]:
+    trajectories = random_trajectories(rng, with_time=split(measure)[0] in SPATIOTEMPORAL)
+    for kwargs in MEASURE_KWARGS[split(measure)[0]]:
         for query in trajectories:
             assert_sound(measure, query, trajectories, **kwargs)
 
 
-@pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
+@pytest.mark.parametrize("measure", BOUNDS)
 def test_lower_bound_sound_on_synthetic_city(measure):
     """Same property on realistic route-clustered data (the regime that prunes)."""
-    dataset = generate_dataset("chengdu", size=12, seed=3,
-                               with_time=measure in SPATIOTEMPORAL or None)
-    arrays = dataset.point_arrays(spatial_only=measure not in SPATIOTEMPORAL)
+    timed = split(measure)[0] in SPATIOTEMPORAL
+    dataset = generate_dataset("chengdu", size=12, seed=3, with_time=timed or None)
+    arrays = dataset.point_arrays(spatial_only=not timed)
     for query in arrays:
-        assert_sound(measure, query, arrays, **MEASURE_KWARGS[measure][0])
+        assert_sound(measure, query, arrays, **MEASURE_KWARGS[split(measure)[0]][0])
 
 
 def _points(rng, length: int, width: int, grid: bool) -> np.ndarray:
@@ -134,13 +150,13 @@ def degenerate_fleets(draw, with_time: bool):
     return query, [_shaped(rng, kind, width, grid, query) for kind in kinds]
 
 
-@pytest.mark.parametrize("measure", sorted(MEASURE_KWARGS))
+@pytest.mark.parametrize("measure", BOUNDS)
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_bound_sound_on_degenerate_fleets(measure, data):
     """0 ≤ bound ≤ the textbook distance on the shapes that break envelopes."""
-    query, candidates = data.draw(degenerate_fleets(measure in SPATIOTEMPORAL))
-    kwargs = data.draw(st.sampled_from(MEASURE_KWARGS[measure]))
+    query, candidates = data.draw(degenerate_fleets(split(measure)[0] in SPATIOTEMPORAL))
+    kwargs = data.draw(st.sampled_from(MEASURE_KWARGS[split(measure)[0]]))
     assert_sound(measure, query, candidates, **kwargs)
 
 
@@ -190,6 +206,14 @@ def test_identical_trajectories_bound_to_zero():
 def test_registry_rejects_duplicates_and_unknown_names_are_zero():
     with pytest.raises(KeyError):
         register_batch_lower_bound("dtw")(lambda *args, **kwargs: 0.0)
+    with pytest.raises(KeyError):
+        register_filter_stage("dtw", "endpoints")(lambda *args, **kwargs: 0.0)
+    assert filter_stages("dtw") == ("endpoints", "rows")
+    assert filter_stages("edr") == ()
+    assert get_batch_lower_bound("edr", "endpoints") is None
+    with pytest.raises(KeyError):
+        TrajectoryIndex([np.ones((2, 2))]).lower_bounds(np.zeros((2, 2)), "edr",
+                                                        stage="endpoints")
     assert get_batch_lower_bound("no-such-measure") is None
     index = TrajectoryIndex([np.ones((2, 2)), np.zeros((3, 2))])
     np.testing.assert_array_equal(
@@ -324,3 +348,58 @@ def test_mixed_width_fleet_refuses_temporal_bounds(measure):
         bounds_of(measure, timed[0], fleet)
     with pytest.raises(ValueError, match="time column"):
         TrajectoryIndex(fleet).lower_bounds(timed[0], measure)
+
+
+# ------------------------------------------------------------------ sub-stacks
+def _take_fleets(measure, rng):
+    """Fleets whose members differ in piece count, mixed 2-D/3-D ones for the
+    spatial measures (the temporal ones refuse those)."""
+    fleet, flat, timed = _mixed_fleet(rng)
+    return [timed] if measure in SPATIOTEMPORAL else [fleet, flat, timed]
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_take_equals_stacking_the_members(name):
+    """A bound over ``take(positions)`` is bit-identical to the bound over a
+    fresh stack of just those members (in that order): rows keep the parent's
+    padded piece count, which never changes a min-over-pieces."""
+    measure, stage = split(name)
+    bound = get_batch_lower_bound(measure, stage)
+    rng = np.random.default_rng(37)
+    for arrays in _take_fleets(measure, rng):
+        stacked = StackedSummaries.of(arrays)
+        count = len(arrays)
+        for positions in ([0], [count - 1, 0, 2], rng.permutation(count)[:5],
+                          np.arange(count)):
+            members = [arrays[position] for position in positions]
+            sub = stacked.take(positions)
+            np.testing.assert_array_equal(sub.offsets,
+                                          StackedSummaries.of(members).offsets)
+            for kwargs in MEASURE_KWARGS[measure]:
+                for query in (arrays[1], arrays[-1]):
+                    summary = TrajectorySummary.of(query)
+                    np.testing.assert_array_equal(
+                        bound(query, sub, summary, **kwargs),
+                        bound(query, StackedSummaries.of(members), summary, **kwargs),
+                        err_msg=f"{name} {kwargs} positions={list(positions)}")
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+def test_index_subset_bounds_equal_the_full_pass(name):
+    """``lower_bounds(ids=...)`` scores sub-stacks of several shards and gives
+    every id the value the whole-index pass gives it, in ``ids`` order."""
+    measure, stage = split(name)
+    rng = np.random.default_rng(41)
+    for arrays in _take_fleets(measure, rng):
+        arrays = arrays + [array + 3.0 for array in arrays]  # spread over shards
+        index = TrajectoryIndex(arrays, shard_columns=3, shard_rows=3)
+        assert index.num_shards > 1
+        for ids in ([len(arrays) - 1, 0], rng.permutation(len(arrays))[:7],
+                    np.zeros(0, dtype=np.int64)):
+            for kwargs in MEASURE_KWARGS[measure]:
+                query = arrays[2]
+                whole = index.lower_bounds(query, measure, stage=stage, **kwargs)
+                subset = index.lower_bounds(query, measure, ids=ids, stage=stage,
+                                            **kwargs)
+                np.testing.assert_array_equal(subset, whole[ids],
+                                              err_msg=f"{name} {kwargs}")

@@ -2,18 +2,27 @@
 
 The headline guarantee: ``knn_search`` returns exactly ``knn_from_matrix``'s
 neighbours — same indices, same order, same tie-breaking — for every registered
-measure at several k, while refining only a subset of candidates.
+measure at several k, while refining only a subset of candidates.  DTW reaches
+that answer through its lower-bound cascade (endpoints, row envelope, full
+bound), so the property tests vary the refinement batch size, k and the
+excluded ids over degenerate and route-clustered fleets.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import BoundingBox, generate_dataset
-from repro.distances import cross_distance_matrix, knn_from_matrix
+from repro.distances import (available_distances, cross_distance_matrix, get_distance,
+                             knn_from_matrix)
 from repro.engine import MatrixEngine
-from repro.search import SearchStats, TrajectoryIndex, knn_search
+from repro.obs import get_registry
+from repro.search import SearchStats, TrajectoryIndex, filter_stages, knn_search
+from repro.search import bounds as bounds_module
+from test_search_bounds import MEASURE_KWARGS as BOUND_KWARGS, degenerate_fleets
 
 SPATIOTEMPORAL = {"tp", "dita"}
 MEASURE_KWARGS = {"edr": {"epsilon": 0.25}, "lcss": {"epsilon": 0.25}}
@@ -204,3 +213,112 @@ def test_index_lower_bounds_vector(spatial):
     assert bounds.shape == (len(spatial),)
     assert bounds[0] == pytest.approx(0.0)  # the query itself
     assert index.lower_bounds(spatial[0], "unregistered-measure").max() == 0.0
+
+
+# ------------------------------------------------------------------- the cascade
+ENGINE = MatrixEngine(cache=None)
+
+
+def assert_knn_matches_matrix(data, arrays, queries, measure, kwargs):
+    """``knn_search`` equals ``knn_from_matrix`` over ``engine.cross`` for a
+    drawn batch size, k and excluded id (or none)."""
+    index = TrajectoryIndex(arrays)
+    matrix = ENGINE.cross(queries, arrays, measure, **kwargs)
+    for row, query in enumerate(queries):
+        exclude = (data.draw(st.none() | st.integers(0, len(arrays) - 1), "exclude")
+                   if len(arrays) > 1 else None)
+        k = data.draw(st.integers(1, len(arrays) - (exclude is not None)), "k")
+        batch_size = data.draw(st.sampled_from([1, 2, 8, len(arrays) + 1]), "batch")
+        distances = matrix[row].copy()
+        if exclude is not None:
+            distances[exclude] = np.inf
+        expected = knn_from_matrix(distances[None, :], k)[0]
+        result = knn_search(index, query, k, measure=measure, engine=ENGINE,
+                            batch_size=batch_size, exclude=exclude, **kwargs)
+        np.testing.assert_array_equal(result.indices, expected)
+        np.testing.assert_array_equal(result.distances, distances[expected])
+
+
+@pytest.mark.parametrize("measure", sorted(available_distances()))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_cascade_matches_knn_from_matrix_on_degenerate_fleets(measure, data):
+    query, fleet = data.draw(degenerate_fleets(measure in SPATIOTEMPORAL))
+    kwargs = data.draw(st.sampled_from(BOUND_KWARGS[measure]))
+    assert_knn_matches_matrix(data, fleet, [query, fleet[0]], measure, kwargs)
+
+
+@pytest.mark.parametrize("measure", sorted(available_distances()))
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_cascade_matches_knn_from_matrix_on_city_fleets(measure, data):
+    timed = measure in SPATIOTEMPORAL
+    dataset = generate_dataset("chengdu", size=data.draw(st.integers(10, 24), "size"),
+                               seed=data.draw(st.integers(0, 2**16), "seed"),
+                               with_time=timed or None)
+    arrays = dataset.point_arrays(spatial_only=not timed)
+    kwargs = data.draw(st.sampled_from(BOUND_KWARGS[measure]))
+    assert_knn_matches_matrix(data, arrays, arrays[:2], measure, kwargs)
+
+
+@pytest.mark.parametrize("measure,query,tied,other", [
+    ("frechet", [[0.0, 0.0]], [[1.0, 0.0]], [[0.0, 1.0]]),
+    ("dtw", [[0.0, 0.0]] * 3, [[0.5, 0.0], [0.0, 0.0], [0.5, 0.0]],
+     [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]),
+], ids=["frechet", "dtw"])
+def test_bound_one_ulp_above_a_tie_with_tau_is_refined(measure, query, tied, other,
+                                                       monkeypatch):
+    """Bounds may exceed the exact distance by a few ulps.  Candidate 0 ties
+    the k-th distance τ exactly and wins the tie on id, but its bound sits
+    one ulp above τ: pruning at τ itself would lose it, so search prunes at
+    the kernels' padded cutoff.  For DTW, far candidates with zero endpoint
+    bounds push candidate 0 out of the seeding head and through the stages."""
+    query, tied, other = np.array(query), np.array(tied), np.array(other)
+    distance = get_distance(measure)
+    exact = distance(query, tied)
+    assert exact == distance(query, other)
+    far = [np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 0.0]])] * 4 * (measure == "dtw")
+    arrays = [tied, other] + far
+
+    def inflated(query, stacked, query_summary, **kwargs):
+        is_tied = (stacked.firsts == tied[0]).all(axis=1)
+        return np.where(is_tied, np.nextafter(exact, np.inf), 0.0)
+
+    monkeypatch.setitem(bounds_module._BATCH_LOWER_BOUNDS, measure, inflated)
+    expected = knn_from_matrix(ENGINE.cross([query], arrays, measure), 1)[0]
+    assert expected.tolist() == [0]
+    result = knn_search(arrays, query, 1, measure=measure, engine=ENGINE, batch_size=1)
+    np.testing.assert_array_equal(result.indices, expected)
+
+
+def _cascade_counts() -> dict[str, int]:
+    counters = get_registry().snapshot()["counters"]
+    return {name: value for name, value in counters.items()
+            if name.startswith("search.cascade.")}
+
+
+@pytest.mark.parametrize("batch_size", [1, 16])
+def test_cascade_stages_go_through_the_index_and_count(spatial, batch_size):
+    """Every stage is scored through ``TrajectoryIndex.lower_bounds`` (what
+    tracing wraps), and each stage takes exactly the survivors of the last."""
+    index = TrajectoryIndex(spatial)
+    stages = []
+    scored = index.lower_bounds
+
+    def recording(query, measure, ids=None, stage=None, **kwargs):
+        stages.append(stage)
+        return scored(query, measure, ids=ids, stage=stage, **kwargs)
+
+    index.lower_bounds = recording
+    before = _cascade_counts()
+    result = knn_search(index, spatial[0], 3, measure="dtw", exclude=0,
+                        batch_size=batch_size)
+    counts = {name: value - before.get(name, 0)
+              for name, value in _cascade_counts().items()}
+    assert set(stages) == {*filter_stages("dtw"), None}
+    assert counts["search.cascade.endpoints.out"] == counts["search.cascade.rows.in"]
+    assert counts["search.cascade.rows.out"] <= counts["search.cascade.full.in"]
+    for stage in ("endpoints", "rows", "full"):
+        assert (counts[f"search.cascade.{stage}.out"]
+                <= counts[f"search.cascade.{stage}.in"])
+    assert result.stats.num_refined + result.stats.num_pruned == len(spatial) - 1

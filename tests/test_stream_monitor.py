@@ -13,6 +13,7 @@ from repro.engine import MatrixEngine, StreamingEngine, get_batch_kernel
 from repro.obs import snapshot
 from repro.obs.export import set_jsonl_path
 from repro.search import StreamAlert, StreamMonitor
+from repro.search import bounds as bounds_module
 
 
 def _walks(rng, count, length, origin_scale=1.0):
@@ -328,3 +329,20 @@ def test_stream_workload_replays_through_monitor():
                            pattern, region, "dtw", 4)
     got = [(distance, trajectory_id) for trajectory_id, distance in monitor.topk()]
     assert got == expected
+
+
+def test_monitor_refines_a_bound_one_ulp_above_a_tie_with_tau(monkeypatch):
+    """Stream 0 ties the k-th distance τ exactly and wins the tie on id, but
+    its bound sits one ulp above τ: the monitor must prune at the kernels'
+    padded cutoff, not at τ itself, to keep it."""
+    pattern = np.array([[0.0, 0.0]])
+    tied, other = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+
+    def inflated(query, stacked, query_summary, **kwargs):
+        return np.where(stacked.firsts[:, 0] == 1.0, np.nextafter(1.0, 2.0), 0.0)
+
+    monkeypatch.setitem(bounds_module._BATCH_LOWER_BOUNDS, "dtw", inflated)
+    monitor = StreamMonitor([tied, other], pattern, BoundingBox(-2.0, -2.0, 2.0, 2.0),
+                            measure="dtw", k=1, emit_events=False)
+    monitor.tick()
+    assert monitor.topk() == [(0, 1.0)]
