@@ -47,30 +47,16 @@ class FactorEncoder(Module):
             self.sequence_encoder = None
             self.head = Linear(config.point_features, output_dim, rng=rng)
 
-    def forward(self, points) -> tuple[Tensor, Tensor]:
-        """Encode one trajectory's point features into ``(V_Lo, V_Eu)``."""
-        points = as_tensor(points)
-        if points.ndim != 2:
-            raise ValueError("FactorEncoder expects a (length, point_features) sequence")
-        if self.sequence_encoder is not None:
-            _, (hidden, _) = self.sequence_encoder(points, return_sequence=False)
-            summary = hidden
-        else:
-            summary = points.mean(axis=0)
-        factors = self.head(summary).softplus() + 1e-6
-        half = self.config.factor_dim
-        return factors[:half], factors[half:]
-
-    def forward_batch(self, padded, mask: np.ndarray) -> tuple[Tensor, Tensor]:
+    def forward(self, padded, mask: np.ndarray) -> tuple[Tensor, Tensor]:
         """Factor vectors for a padded ``(B, T, point_features)`` batch.
 
         Returns ``(V_Lo, V_Eu)`` as ``(B, factor_dim)`` tensors; the mask keeps
-        padded steps out of the recurrence (or the mean pooling) so every row
-        matches the per-sample :meth:`forward` within the parity tolerance.
+        padded steps out of the recurrence (or the mean pooling), so every row
+        equals the one-item batch of its trajectory.
         """
         padded = as_tensor(padded)
         if padded.ndim != 3:
-            raise ValueError("forward_batch expects a (B, T, point_features) batch")
+            raise ValueError("FactorEncoder expects a (B, T, point_features) batch")
         if self.sequence_encoder is not None:
             _, (hidden, _) = self.sequence_encoder(padded, return_sequence=False, mask=mask)
             summary = hidden
@@ -85,9 +71,8 @@ def lorentz_proportion(v_lo_a: Tensor, v_eu_a: Tensor,
                        v_lo_b: Tensor, v_eu_b: Tensor) -> Tensor:
     """The Lorentz proportion ``α_Lo`` (differentiable).
 
-    Accepts single factor vectors (returns a scalar) or aligned ``(B, factor_dim)``
-    batches (returns a ``(B,)`` tensor); the inner products run along the last axis
-    either way, so the batched rows reproduce the per-pair arithmetic exactly.
+    Takes aligned ``(B, factor_dim)`` factor blocks and returns a ``(B,)``
+    tensor; the inner products run along the last axis.
     """
     lorentz_term = (as_tensor(v_lo_a) * as_tensor(v_lo_b)).sum(axis=-1)
     euclid_term = (as_tensor(v_eu_a) * as_tensor(v_eu_b)).sum(axis=-1)
@@ -109,20 +94,10 @@ class DynamicFusion(Module):
         self.encoder = FactorEncoder(config)
 
     # ------------------------------------------------------------ training path
-    def factors(self, points) -> tuple[Tensor, Tensor]:
-        """Differentiable factor vectors for one trajectory."""
-        return self.encoder(points)
-
     def factors_batch(self, point_sequences) -> tuple[Tensor, Tensor]:
         """Differentiable ``(B, factor_dim)`` factor vectors for a ragged batch."""
         padded, mask = pad_sequences(point_sequences)
-        return self.encoder.forward_batch(Tensor(padded), mask)
-
-    def alpha(self, points_a, points_b) -> Tensor:
-        """Differentiable ``α_Lo`` for a pair of trajectories."""
-        v_lo_a, v_eu_a = self.encoder(points_a)
-        v_lo_b, v_eu_b = self.encoder(points_b)
-        return lorentz_proportion(v_lo_a, v_eu_a, v_lo_b, v_eu_b)
+        return self.encoder(Tensor(padded), mask)
 
     # ----------------------------------------------------------- inference path
     def factors_numpy(self, point_sequences, batch_size: int = 256

@@ -9,12 +9,11 @@ adds the two modules of Figure 3:
 * **Dynamic Fusion** — blends the Lorentz and Euclidean distances with a per-pair
   learned proportion ``α_Lo``.
 
-Three call paths are exposed: a differentiable pair path used during per-sample
-training (:meth:`LHPlugin.pair_distance`), a differentiable **batched** pair path
-over ``(B, d)`` embedding blocks used by the batched trainer
-(:meth:`LHPlugin.pair_distances_from`), and a vectorised NumPy path used for
-retrieval over pre-embedded databases (:meth:`LHPlugin.distance_matrix`),
-mirroring how the paper's efficiency experiment pre-embeds trajectories offline.
+Two call paths are exposed: a differentiable pair path over aligned ``(B, d)``
+embedding blocks used by the trainer (:meth:`LHPlugin.pair_distances_from`; one
+pair is a 1-row block), and a vectorised NumPy path used for retrieval over
+pre-embedded databases (:meth:`LHPlugin.distance_matrix`), mirroring how the
+paper's efficiency experiment pre-embeds trajectories offline.
 """
 
 from __future__ import annotations
@@ -54,51 +53,16 @@ class LHPlugin(Module):
                          c=self.config.compression, method=self.config.projection)
 
     # -------------------------------------------------------------- training path
-    def pair_distance(self, embedding_a: Tensor, embedding_b: Tensor,
-                      points_a=None, points_b=None) -> Tensor:
-        """Differentiable plugin distance between two Euclidean embeddings.
-
-        ``points_a`` / ``points_b`` are the raw (normalised) point sequences of the
-        trajectories, needed only when dynamic fusion is enabled.
-        """
-        factors_a = factors_b = None
-        if self.fusion is not None:
-            if points_a is None or points_b is None:
-                raise ValueError("dynamic fusion requires the raw point sequences")
-            factors_a = self.fusion.factors(points_a)
-            factors_b = self.fusion.factors(points_b)
-        return self.pair_distance_from(embedding_a, embedding_b, factors_a, factors_b)
-
-    def pair_distance_from(self, embedding_a: Tensor, embedding_b: Tensor,
-                           factors_a: tuple[Tensor, Tensor] | None = None,
-                           factors_b: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        """Differentiable plugin distance from precomputed embeddings and factors.
-
-        Training loops that reuse a trajectory in several pairs of one batch can call
-        the fusion encoder once per trajectory and pass the factor tensors here.
-        """
-        embedding_a = as_tensor(embedding_a)
-        embedding_b = as_tensor(embedding_b)
-        hyperbolic_a = self.project_t(embedding_a)
-        hyperbolic_b = self.project_t(embedding_b)
-        lorentz = lorentz_distance_t(hyperbolic_a, hyperbolic_b, beta=self.config.beta)
-        if self.fusion is None:
-            return lorentz
-        if factors_a is None or factors_b is None:
-            raise ValueError("dynamic fusion requires factor vectors for both trajectories")
-        euclidean = euclidean_distance(embedding_a, embedding_b)
-        alpha = lorentz_proportion(factors_a[0], factors_a[1], factors_b[0], factors_b[1])
-        return fuse_distances(lorentz, euclidean, alpha)
-
     def pair_distances_from(self, embeddings_a: Tensor, embeddings_b: Tensor,
                             factors_a: tuple[Tensor, Tensor] | None = None,
                             factors_b: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """Differentiable plugin distances for aligned ``(B, d)`` embedding blocks.
 
-        The batched twin of :meth:`pair_distance_from`: projection, Lorentz
-        distance, Euclidean distance and the fusion proportion all run on whole
-        embedding blocks (``factors_*`` are ``(B, factor_dim)`` pairs), returning
-        a ``(B,)`` distance tensor whose rows reproduce the per-pair arithmetic.
+        Projection, Lorentz distance, Euclidean distance and the fusion
+        proportion all run on whole embedding blocks; ``factors_*`` are the
+        ``(V_Lo, V_Eu)`` pairs of ``(B, factor_dim)`` blocks from
+        :meth:`DynamicFusion.factors_batch`, needed only when dynamic fusion is
+        enabled.  Returns a ``(B,)`` distance tensor.
         """
         embeddings_a = as_tensor(embeddings_a)
         embeddings_b = as_tensor(embeddings_b)
@@ -230,19 +194,9 @@ class PluggedEncoder(Module):
         """Delegate batch preparation to the base encoder."""
         return self.base_encoder.prepare_batch(trajectories)
 
-    def encode(self, prepared) -> Tensor:
-        """Euclidean embedding from the (unchanged) base encoder."""
-        return self.base_encoder.encode(prepared)
-
     def encode_batch(self, prepared_list) -> Tensor:
         """Batched Euclidean embeddings from the (unchanged) base encoder."""
         return self.base_encoder.encode_batch(prepared_list)
-
-    def pair_distance(self, prepared_a, prepared_b, points_a=None, points_b=None) -> Tensor:
-        """Differentiable plugin distance between two prepared trajectories."""
-        embedding_a = self.encode(prepared_a)
-        embedding_b = self.encode(prepared_b)
-        return self.plugin.pair_distance(embedding_a, embedding_b, points_a, points_b)
 
     def embed_many(self, prepared_list, batch_size: int = 64) -> np.ndarray:
         """Euclidean embeddings for many trajectories without autograd overhead.

@@ -19,7 +19,7 @@ from ..distances import normalize_matrix, pairwise_distance_matrix
 from ..engine import MatrixEngine, get_default_engine
 from ..eval import evaluate_retrieval
 from ..models import get_model
-from ..training import SimilarityTrainer, default_train_batched
+from ..training import SimilarityTrainer
 
 __all__ = ["ExperimentSettings", "VARIANTS", "prepare_experiment", "make_plugin",
            "train_variant", "evaluate_model"]
@@ -66,11 +66,6 @@ class ExperimentSettings:
     #: (``set_backend`` / ``REPRO_KERNEL_BACKEND`` / auto).
     kernel_backend: str | None = None
     use_vectorized_kernels: bool = True
-    #: Whether training steps run through the mask-aware batched forward
-    #: (``encode_batch`` + batched plugin distances).  Defaults to on; the
-    #: environment variable ``REPRO_TRAIN_BATCHED=0`` restores the per-sample
-    #: reference path process-wide.
-    batched_training: bool = field(default_factory=default_train_batched)
 
     def measure_kwargs(self) -> dict:
         return dict(_MEASURE_KWARGS.get(self.measure, {}))
@@ -146,8 +141,7 @@ def train_variant(settings: ExperimentSettings, dataset: TrajectoryDataset,
     plugin = make_plugin(settings, variant)
     trainer = SimilarityTrainer(encoder, plugin=plugin, learning_rate=settings.learning_rate,
                                 batch_size=settings.batch_size, num_nearest=settings.num_nearest,
-                                num_random=settings.num_random, seed=settings.seed,
-                                batched=settings.batched_training)
+                                num_random=settings.num_random, seed=settings.seed)
 
     eval_fn = None
     if eval_every_epoch:

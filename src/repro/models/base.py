@@ -6,13 +6,11 @@ model-agnostic, so the only contract an encoder must satisfy is:
 * ``prepare(trajectory)`` — convert a :class:`~repro.data.Trajectory` into the
   model-specific input (grid features, graph, token sequence, ...).  Preparation is
   NumPy-only and cacheable.
-* ``encode(prepared)`` — differentiable forward pass returning a 1-D embedding
-  ``Tensor`` of size ``embedding_dim``.
-* ``encode_batch(prepared_list)`` — differentiable forward pass over a ragged
-  batch, returning a ``(B, embedding_dim)`` tensor.  Every concrete encoder
-  implements a padded, mask-aware batch path; ``encode`` stays the per-sample
-  parity reference, and the two must agree row-for-row within 1e-9 (pinned by
-  ``tests/test_batch_parity.py``).
+* ``encode_batch(prepared_list)`` — the one differentiable forward pass: a
+  padded, mask-aware sweep over a ragged batch, returning a ``(B,
+  embedding_dim)`` tensor.  A single trajectory is a one-item batch; row ``i``
+  of a ``B``-item batch must equal the one-item batch of item ``i`` within 1e-9,
+  in values and parameter gradients (pinned by ``tests/test_batch_parity.py``).
 
 Models also expose a ``build`` classmethod that performs any dataset-level
 preprocessing they need (fitting a grid, a quadtree, a spatio-temporal grid).
@@ -25,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..data import Normalizer, Trajectory, TrajectoryDataset
-from ..nn import Module, Tensor, no_grad, stack
+from ..nn import Module, Tensor, no_grad
 
 __all__ = ["TrajectoryEncoder", "register_model", "get_model", "available_models"]
 
@@ -46,23 +44,9 @@ class TrajectoryEncoder(Module):
         """Model-specific preprocessing of one trajectory (NumPy only)."""
         raise NotImplementedError
 
-    def encode(self, prepared) -> Tensor:
-        """Differentiable embedding of one prepared trajectory."""
-        raise NotImplementedError
-
     def encode_batch(self, prepared_list: Sequence) -> Tensor:
-        """Differentiable ``(B, embedding_dim)`` embeddings of a ragged batch.
-
-        The base implementation stacks per-sample :meth:`encode` calls so any
-        encoder is batchable; concrete models override it with a padded,
-        mask-aware forward pass that encodes the whole batch in one sweep.
-        """
-        if not prepared_list:
-            raise ValueError("encode_batch needs at least one prepared trajectory")
-        return stack([self.encode(prepared) for prepared in prepared_list], axis=0)
-
-    def forward(self, prepared) -> Tensor:
-        return self.encode(prepared)
+        """Differentiable ``(B, embedding_dim)`` embeddings of a ragged batch."""
+        raise NotImplementedError
 
     # ----------------------------------------------------------------- utilities
     def prepare_dataset(self, dataset: TrajectoryDataset) -> list:

@@ -51,9 +51,6 @@ class MeanPoolEncoder(TrajectoryEncoder):
         ])
         return features
 
-    def encode(self, prepared: np.ndarray) -> Tensor:
-        return self.network(Tensor(prepared))
-
     def encode_batch(self, prepared_list) -> Tensor:
         """Batched forward: the fixed-size features stack without padding."""
         if not prepared_list:

@@ -66,10 +66,6 @@ class NeutrajEncoder(TrajectoryEncoder):
         features = np.hstack([base, smoothed])
         return np.split(features, np.cumsum([len(c) for c in coords])[:-1])
 
-    def encode(self, prepared: np.ndarray) -> Tensor:
-        _, hidden = self.recurrent(Tensor(prepared), return_sequence=False)
-        return self.projection(hidden)
-
     def encode_batch(self, prepared_list) -> Tensor:
         """One masked GRU sweep over the padded batch of feature sequences."""
         if not prepared_list:

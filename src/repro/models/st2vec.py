@@ -50,14 +50,6 @@ class ST2VecEncoder(TrajectoryEncoder):
         temporal = np.column_stack([times, deltas])
         return spatial, temporal
 
-    def encode(self, prepared: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        spatial, temporal = prepared
-        spatial_states, _ = self.spatial_stream(Tensor(spatial))
-        temporal_states, _ = self.temporal_stream(Tensor(temporal))
-        fused_spatial, fused_temporal = self.co_attention(spatial_states, temporal_states)
-        pooled = concat([fused_spatial.mean(axis=0), fused_temporal.mean(axis=0)], axis=-1)
-        return self.projection(pooled)
-
     def encode_batch(self, prepared_list) -> Tensor:
         """Masked two-stream LSTM + masked co-attention over the padded batch.
 

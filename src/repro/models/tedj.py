@@ -48,13 +48,6 @@ class TedjEncoder(TrajectoryEncoder):
         continuous = self.st_grid.features(trajectory)[:, :3]  # norm lon, lat, time
         return tokens, continuous
 
-    def encode(self, prepared: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        tokens, continuous = prepared
-        token_vectors = self.token_embedding(tokens)
-        sequence = concat([token_vectors, Tensor(continuous)], axis=-1)
-        _, hidden = self.recurrent(sequence, return_sequence=False)
-        return self.projection(hidden)
-
     def encode_batch(self, prepared_list) -> Tensor:
         """Padded token lookup + masked GRU over the whole batch.
 

@@ -3,8 +3,9 @@
 Traj2SimVec's distinguishing idea is auxiliary supervision on *sub-trajectories*: the
 model is encouraged to embed prefixes of a trajectory consistently with the distances
 of the corresponding sub-trajectories.  This re-implementation encodes the normalised
-point sequence with an LSTM, exposes prefix embeddings at a few split points, and the
-trainer can add the auxiliary sub-trajectory loss when it is enabled.
+point sequence with an LSTM and exposes prefix embeddings at a few split points
+through :meth:`Traj2SimVecEncoder.encode_batch_with_prefixes`; no training loss uses
+them yet.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ class Traj2SimVecEncoder(TrajectoryEncoder):
     def prepare(self, trajectory: Trajectory) -> np.ndarray:
         return self.normalizer.transform_points(trajectory.coordinates)
 
-    def encode(self, prepared: np.ndarray) -> Tensor:
-        _, (hidden, _) = self.recurrent(Tensor(prepared), return_sequence=False)
-        return self.projection(hidden)
-
     def encode_batch(self, prepared_list) -> Tensor:
         """One masked LSTM sweep over the padded batch of point sequences."""
         if not prepared_list:
@@ -55,27 +52,15 @@ class Traj2SimVecEncoder(TrajectoryEncoder):
     def _prefix_position(self, length: int, split: int) -> int:
         return max(int(round(length * split / (self.num_splits + 1))) - 1, 0)
 
-    def encode_with_prefixes(self, prepared: np.ndarray) -> tuple[Tensor, list[Tensor]]:
-        """Full embedding plus embeddings of ``num_splits`` prefixes.
-
-        Prefix split points are evenly spaced; the prefixes reuse the same recurrent
-        weights, mirroring how Traj2SimVec supervises sub-trajectory consistency.
-        """
-        outputs, (hidden, _) = self.recurrent(Tensor(prepared))
-        full = self.projection(hidden)
-        length = outputs.shape[0]
-        prefixes = []
-        for split in range(1, self.num_splits + 1):
-            prefixes.append(self.projection(outputs[self._prefix_position(length, split)]))
-        return full, prefixes
-
     def encode_batch_with_prefixes(self, prepared_list) -> tuple[Tensor, list[Tensor]]:
-        """Batched counterpart of :meth:`encode_with_prefixes`.
+        """Full embeddings plus embeddings of ``num_splits`` prefixes.
 
         Returns the full ``(B, embedding_dim)`` embeddings plus one ``(B,
-        embedding_dim)`` tensor per split, gathered from each sample's own
-        prefix positions in the masked per-step states (so sample ``i``'s rows
-        match its per-sample prefixes regardless of padding).
+        embedding_dim)`` tensor per split.  Prefix split points are evenly
+        spaced and reuse the same recurrent weights, mirroring how Traj2SimVec
+        supervises sub-trajectory consistency; each row is gathered from the
+        sample's own prefix positions in the masked per-step states, so it does
+        not depend on the padding of the rest of the batch.
         """
         if not prepared_list:
             raise ValueError("encode_batch needs at least one prepared trajectory")
@@ -91,7 +76,7 @@ class Traj2SimVecEncoder(TrajectoryEncoder):
         return full, prefixes
 
     def prefix_lengths(self, prepared: np.ndarray) -> list[int]:
-        """Number of points of each prefix produced by :meth:`encode_with_prefixes`."""
+        """Number of points of each prefix produced by :meth:`encode_batch_with_prefixes`."""
         length = len(prepared)
         return [self._prefix_position(length, split) + 1
                 for split in range(1, self.num_splits + 1)]

@@ -49,13 +49,6 @@ class TrajGATEncoder(TrajectoryEncoder):
         normalised = np.column_stack([spatial, features[:, 2]])
         return normalised, adjacency
 
-    def encode(self, prepared: tuple[np.ndarray, np.ndarray]) -> Tensor:
-        features, adjacency = prepared
-        hidden = self.attention1(Tensor(features), adjacency)
-        hidden = self.attention2(hidden, adjacency)
-        pooled = hidden.mean(axis=0)
-        return self.projection(pooled)
-
     def encode_batch(self, prepared_list) -> Tensor:
         """Batched graph attention over node-padded graphs.
 

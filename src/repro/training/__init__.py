@@ -2,7 +2,7 @@
 
 from .sampling import PairSampler, sample_triplets
 from .callbacks import TrainingHistory, EarlyStopping
-from .trainer import SimilarityTrainer, default_train_batched
+from .trainer import SimilarityTrainer
 
 __all__ = ["PairSampler", "sample_triplets", "TrainingHistory", "EarlyStopping",
-           "SimilarityTrainer", "default_train_batched"]
+           "SimilarityTrainer"]

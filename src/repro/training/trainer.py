@@ -7,17 +7,9 @@ plugin is attached — and regresses it onto the (normalised) ground-truth dista
 This mirrors the paper's setup where the plugin is trained jointly with, but without
 modifying, the base model.
 
-Two step implementations share the arithmetic:
-
-* the **batched** path (default) pads the distinct trajectories of a step into one
-  mask-aware batch, encodes each exactly once through ``encode_batch``, gathers the
-  embedding rows per pair and computes all pair distances in one sweep;
-* the **per-sample** path encodes trajectories one by one — it is the parity
-  reference the batched path is pinned against (``tests/test_batch_parity.py``)
-  and the baseline of ``benchmarks/train_speedup.py``.
-
-``REPRO_TRAIN_BATCHED=0`` flips the process-wide default to the per-sample path
-without touching code, mirroring ``REPRO_ENGINE_STRATEGY``.
+Every step pads the distinct trajectories of its pairs into one mask-aware batch,
+encodes each exactly once through ``encode_batch``, gathers the embedding rows per
+pair and computes all pair distances in one sweep.
 """
 
 from __future__ import annotations
@@ -27,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..config import env_flag
 from ..core import LHPlugin
 from ..data import Normalizer, TrajectoryDataset
 from ..obs import histogram, obs_enabled
@@ -38,24 +29,18 @@ from ..nn import (
     euclidean_distance,
     mse_loss,
     relative_distance_loss,
-    stack,
     weighted_rank_loss,
 )
 from .callbacks import EarlyStopping, TrainingHistory
 from .sampling import PairSampler
 
-__all__ = ["SimilarityTrainer", "default_train_batched"]
+__all__ = ["SimilarityTrainer"]
 
 _LOSSES: dict[str, Callable] = {
     "mse": mse_loss,
     "relative": relative_distance_loss,
     "weighted_rank": weighted_rank_loss,
 }
-
-
-def default_train_batched() -> bool:
-    """Process-wide default for batched training (env ``REPRO_TRAIN_BATCHED``)."""
-    return env_flag("REPRO_TRAIN_BATCHED", True)
 
 
 class SimilarityTrainer:
@@ -71,22 +56,11 @@ class SimilarityTrainer:
     learning_rate, batch_size, num_nearest, num_random, loss, clip_norm, seed:
         Optimisation hyper-parameters; ``num_nearest`` / ``num_random`` control the
         per-anchor pair sampling.
-    batched:
-        Whether optimisation steps run through the mask-aware batched forward
-        (``encode_batch`` + batched plugin distances) or the per-sample parity
-        path.  ``None`` defers to :func:`default_train_batched`.
-    length_buckets:
-        With a value > 1, each epoch's pairs are grouped into that many
-        quantile buckets of max sequence length (see
-        :class:`~repro.training.sampling.PairSampler`), so padded batch tensors
-        waste less work on skewed datasets.  0 (default) keeps the plain
-        shuffled order; the multiset of sampled pairs is identical either way.
     """
 
     def __init__(self, encoder, plugin: LHPlugin | None = None, learning_rate: float = 5e-3,
                  batch_size: int = 16, num_nearest: int = 5, num_random: int = 5,
-                 loss: str = "mse", clip_norm: float = 5.0, seed: int = 0,
-                 batched: bool | None = None, length_buckets: int = 0):
+                 loss: str = "mse", clip_norm: float = 5.0, seed: int = 0):
         if loss not in _LOSSES:
             raise ValueError(f"unknown loss '{loss}'; options: {sorted(_LOSSES)}")
         self.encoder = encoder
@@ -94,12 +68,10 @@ class SimilarityTrainer:
         self.batch_size = max(batch_size, 1)
         self.num_nearest = num_nearest
         self.num_random = num_random
-        self.length_buckets = int(length_buckets)
         self.loss_name = loss
         self.loss_fn = _LOSSES[loss]
         self.clip_norm = clip_norm
         self.seed = seed
-        self.batched = default_train_batched() if batched is None else bool(batched)
         parameters = list(encoder.parameters())
         if plugin is not None:
             parameters.extend(plugin.parameters())
@@ -119,40 +91,13 @@ class SimilarityTrainer:
             sequences.append(normalizer.transform_points(points))
         return sequences
 
-    def _batch_predictions(self, batch, prepared: list,
-                           point_sequences: list | None) -> list[Tensor]:
-        """Per-sample pair distances for one batch (the batched path's reference).
-
-        Anchors appear in many pairs of a batch; caching their embedding (and fusion
-        factors) in the shared autograd graph keeps gradients identical while cutting
-        the number of encoder forward passes roughly in half.
-        """
-        unique_indices = sorted({int(index) for pair in batch for index in pair})
-        embeddings = {index: self.encoder.encode(prepared[index]) for index in unique_indices}
-        factors = None
-        if self.plugin is not None and self.plugin.fusion is not None:
-            factors = {index: self.plugin.fusion.factors(point_sequences[index])
-                       for index in unique_indices}
-        predictions = []
-        for i, j in batch:
-            i, j = int(i), int(j)
-            if self.plugin is None:
-                predictions.append(euclidean_distance(embeddings[i], embeddings[j]))
-            else:
-                predictions.append(self.plugin.pair_distance_from(
-                    embeddings[i], embeddings[j],
-                    factors[i] if factors is not None else None,
-                    factors[j] if factors is not None else None))
-        return predictions
-
-    def _batched_predictions(self, batch: np.ndarray, prepared: list,
-                             point_sequences: list | None) -> Tensor:
+    def _predictions(self, batch: np.ndarray, prepared: list,
+                     point_sequences: list | None) -> Tensor:
         """Pair distances for one batch through the mask-aware batched forward.
 
         Each distinct trajectory of the batch is encoded exactly once (one padded
         ``encode_batch`` call), its embedding row gathered into the per-pair blocks,
-        and all pair distances computed in a single batched sweep — the same
-        arithmetic as :meth:`_batch_predictions`, minus the Python loop.
+        and all pair distances computed in a single batched sweep.
         """
         batch = np.asarray(batch, dtype=np.int64)
         unique, inverse = np.unique(batch, return_inverse=True)
@@ -195,12 +140,8 @@ class SimilarityTrainer:
                 f"over exactly this dataset")
         prepared = self.encoder.prepare_dataset(dataset)
         point_sequences = self._point_sequences(dataset)
-        lengths = None
-        if self.length_buckets > 1:
-            lengths = [len(np.asarray(getattr(t, "points", t))) for t in dataset]
         sampler = PairSampler(target_matrix, self.num_nearest, self.num_random,
-                              seed=self.seed, lengths=lengths,
-                              length_buckets=self.length_buckets)
+                              seed=self.seed)
 
         # Epoch phase timings are gated on REPRO_OBS: when off, the loop pays
         # one boolean check per segment and no clock reads.
@@ -216,12 +157,7 @@ class SimilarityTrainer:
                 batch = pairs[start:start + self.batch_size]
                 if observing:
                     mark = time.perf_counter()
-                if self.batched:
-                    predicted = self._batched_predictions(batch, prepared, point_sequences)
-                else:
-                    predictions = self._batch_predictions(batch, prepared, point_sequences)
-                    predicted = stack([p.reshape(1) for p in predictions],
-                                      axis=0).reshape(len(batch))
+                predicted = self._predictions(batch, prepared, point_sequences)
                 if observing:
                     now = time.perf_counter()
                     encode_seconds += now - mark

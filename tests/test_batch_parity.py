@@ -1,17 +1,16 @@
 """Parity suite for the mask-aware batched learning stack.
 
-The contract: every batched forward (``encode_batch``, the batched plugin
-distances, the batched training step) must reproduce its per-sample reference
-within 1e-9 on ragged-length batches — padding must never leak into values or
-gradients.  These tests pin that contract for all six encoders, the Traj2SimVec
-prefix path, the LH-plugin distance paths and full plugin-attached training
-steps.
+The contract: a ``B``-item ragged batch equals ``B`` one-item batches within
+1e-9 — for ``encode_batch``, the plugin distances over embedding blocks and the
+training step.  A one-item batch has no padding, so this pins that padding
+never leaks into values or gradients.  These tests pin that contract for all
+six encoders, the Traj2SimVec prefix path, the LH-plugin distance paths and
+full plugin-attached training steps.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import EnvError
 from repro.core import LHPlugin, LHPluginConfig
 from repro.data import generate_dataset
 from repro.distances import normalize_matrix, pairwise_distance_matrix
@@ -20,13 +19,15 @@ from repro.nn import (
     GRU,
     LSTM,
     Tensor,
+    concat,
+    euclidean_distance,
     masked_mean,
     mse_loss,
     no_grad,
     pad_sequences,
     pad_token_sequences,
 )
-from repro.training import PairSampler, SimilarityTrainer, default_train_batched
+from repro.training import PairSampler, SimilarityTrainer
 
 TOLERANCE = 1e-9
 
@@ -53,6 +54,11 @@ def spatial_truth(spatial_dataset):
 
 def _dataset_for(name, spatial_dataset, temporal_dataset):
     return temporal_dataset if name in TEMPORAL_MODELS else spatial_dataset
+
+
+def _one_item_batches(encoder, prepared):
+    """Embeddings of ``prepared`` encoded one trajectory at a time."""
+    return np.stack([encoder.encode_batch([item]).data[0] for item in prepared])
 
 
 # ------------------------------------------------------------ padding helpers
@@ -134,19 +140,23 @@ class TestEncoderParity:
         prepared = encoder.prepare_dataset(dataset)
         with no_grad():
             batch = encoder.encode_batch(prepared)
-            singles = np.stack([encoder.encode(item).data for item in prepared])
+            singles = _one_item_batches(encoder, prepared)
         assert batch.shape == (len(dataset), 8)
         np.testing.assert_allclose(batch.data, singles, atol=TOLERANCE)
 
     @pytest.mark.parametrize("name", SPATIAL_MODELS + TEMPORAL_MODELS)
     def test_singleton_batch(self, name, spatial_dataset, temporal_dataset):
+        """A trajectory's one-item batch is its row in any batch, at any position."""
         dataset = _dataset_for(name, spatial_dataset, temporal_dataset)
         encoder = get_model(name).build(dataset, embedding_dim=8, seed=0)
-        prepared = encoder.prepare(dataset[3])
+        prepared = encoder.prepare_dataset(dataset)
         with no_grad():
-            batch = encoder.encode_batch([prepared])
-            single = encoder.encode(prepared)
-        np.testing.assert_allclose(batch.data[0], single.data, atol=TOLERANCE)
+            single = encoder.encode_batch([prepared[3]])
+            forward = encoder.encode_batch(prepared[:6])
+            backward = encoder.encode_batch(prepared[5::-1])
+        assert single.shape == (1, 8)
+        np.testing.assert_allclose(forward.data[3], single.data[0], atol=TOLERANCE)
+        np.testing.assert_allclose(backward.data[2], single.data[0], atol=TOLERANCE)
 
     @pytest.mark.parametrize("name", SPATIAL_MODELS + TEMPORAL_MODELS)
     def test_encode_batch_rejects_empty(self, name, spatial_dataset, temporal_dataset):
@@ -155,30 +165,38 @@ class TestEncoderParity:
         with pytest.raises(ValueError):
             encoder.encode_batch([])
 
-    def test_gradients_match_per_sample(self, spatial_dataset):
-        """Batched backward accumulates the same parameter gradients."""
-        encoder = get_model("neutraj").build(spatial_dataset, embedding_dim=8, seed=0)
-        prepared = encoder.prepare_dataset(spatial_dataset)[:4]
+    @pytest.mark.parametrize("name", SPATIAL_MODELS + TEMPORAL_MODELS)
+    def test_gradients_match_one_item_batches(self, name, spatial_dataset,
+                                              temporal_dataset):
+        """A ragged batch's backward accumulates the one-item batches' gradients.
+
+        Padded steps, padded token-0 rows (Tedj) and padded graph nodes
+        (TrajGAT) must contribute nothing, so the sums agree parameter by
+        parameter.
+        """
+        dataset = _dataset_for(name, spatial_dataset, temporal_dataset)
+        encoder = get_model(name).build(dataset, embedding_dim=8, seed=0)
+        prepared = encoder.prepare_dataset(dataset)[:4]
 
         batch = encoder.encode_batch(prepared)
         (batch * batch).sum().backward()
-        batched_grads = {name: param.grad.copy()
-                         for name, param in encoder.named_parameters()}
+        batched_grads = {key: param.grad.copy()
+                         for key, param in encoder.named_parameters()}
         encoder.zero_grad()
 
         for item in prepared:
-            embedding = encoder.encode(item)
+            embedding = encoder.encode_batch([item])
             (embedding * embedding).sum().backward()
-        for name, param in encoder.named_parameters():
-            np.testing.assert_allclose(batched_grads[name], param.grad,
-                                       atol=TOLERANCE, err_msg=name)
+        for key, param in encoder.named_parameters():
+            np.testing.assert_allclose(batched_grads[key], param.grad,
+                                       atol=TOLERANCE, err_msg=key)
 
     def test_embed_dataset_matches_per_sample_encode(self, spatial_dataset):
         encoder = get_model("traj2simvec").build(spatial_dataset, embedding_dim=8, seed=0)
         embeddings = encoder.embed_dataset(spatial_dataset, batch_size=4)
         prepared = encoder.prepare_dataset(spatial_dataset)
         with no_grad():
-            singles = np.stack([encoder.encode(item).data for item in prepared])
+            singles = _one_item_batches(encoder, prepared)
         np.testing.assert_allclose(embeddings, singles, atol=TOLERANCE)
 
     def test_prepare_batch_matches_prepare(self, spatial_dataset):
@@ -197,12 +215,12 @@ class TestTraj2SimVecPrefixParity:
             full_batch, prefix_batch = encoder.encode_batch_with_prefixes(prepared)
             assert len(prefix_batch) == 3
             for row, item in enumerate(prepared):
-                full, prefixes = encoder.encode_with_prefixes(item)
-                np.testing.assert_allclose(full_batch.data[row], full.data,
+                full, prefixes = encoder.encode_batch_with_prefixes([item])
+                np.testing.assert_allclose(full_batch.data[row], full.data[0],
                                            atol=TOLERANCE)
                 for split in range(3):
                     np.testing.assert_allclose(prefix_batch[split].data[row],
-                                               prefixes[split].data,
+                                               prefixes[split].data[0],
                                                atol=TOLERANCE, err_msg=f"split {split}")
 
 
@@ -225,16 +243,18 @@ class TestPluginBatchParity:
         with no_grad():
             if plugin.fusion is None:
                 batched = plugin.pair_distances_from(Tensor(block_a), Tensor(block_b))
-                singles = [plugin.pair_distance(Tensor(block_a[i]),
-                                                Tensor(block_b[i])).item()
+                singles = [plugin.pair_distances_from(Tensor(block_a[i:i + 1]),
+                                                      Tensor(block_b[i:i + 1])).data[0]
                            for i in range(count)]
             else:
                 factors_a = plugin.fusion.factors_batch(sequences_a)
                 factors_b = plugin.fusion.factors_batch(sequences_b)
                 batched = plugin.pair_distances_from(Tensor(block_a), Tensor(block_b),
                                                      factors_a, factors_b)
-                singles = [plugin.pair_distance(Tensor(block_a[i]), Tensor(block_b[i]),
-                                                sequences_a[i], sequences_b[i]).item()
+                singles = [plugin.pair_distances_from(
+                               Tensor(block_a[i:i + 1]), Tensor(block_b[i:i + 1]),
+                               plugin.fusion.factors_batch([sequences_a[i]]),
+                               plugin.fusion.factors_batch([sequences_b[i]])).data[0]
                            for i in range(count)]
         np.testing.assert_allclose(batched.data, singles, atol=TOLERANCE)
 
@@ -257,17 +277,45 @@ class TestPluginBatchParity:
         assert lorentz.shape == (4, 3) and euclid.shape == (4, 3)
         with no_grad():
             for row, sequence in enumerate(sequences):
-                v_lo, v_eu = plugin.fusion.factors(sequence)
-                np.testing.assert_allclose(lorentz[row], v_lo.data, atol=TOLERANCE)
-                np.testing.assert_allclose(euclid[row], v_eu.data, atol=TOLERANCE)
+                v_lo, v_eu = plugin.fusion.factors_batch([sequence])
+                np.testing.assert_allclose(lorentz[row], v_lo.data[0], atol=TOLERANCE)
+                np.testing.assert_allclose(euclid[row], v_eu.data[0], atol=TOLERANCE)
 
 
 # ----------------------------------------------------------- training parity
+class _OneItemTrainer(SimilarityTrainer):
+    """Reference step: one-item batches per trajectory, 1-row blocks per pair.
+
+    Each distinct trajectory of a step is encoded as its own one-item batch
+    (and, with fusion, gets its own one-item factor batch), so no padding
+    enters; each pair is then scored on 1-row blocks and the distances are
+    concatenated in batch order.
+    """
+
+    def _predictions(self, batch, prepared, point_sequences):
+        unique = sorted({int(index) for pair in batch for index in pair})
+        embeddings = {index: self.encoder.encode_batch([prepared[index]])
+                      for index in unique}
+        factors = dict.fromkeys(unique)
+        if self.plugin is not None and self.plugin.fusion is not None:
+            factors = {index: self.plugin.fusion.factors_batch([point_sequences[index]])
+                       for index in unique}
+        predictions = []
+        for i, j in batch:
+            i, j = int(i), int(j)
+            if self.plugin is None:
+                predictions.append(euclidean_distance(embeddings[i], embeddings[j], axis=-1))
+            else:
+                predictions.append(self.plugin.pair_distances_from(
+                    embeddings[i], embeddings[j], factors[i], factors[j]))
+        return concat(predictions, axis=0)
+
+
 class TestTrainingStepParity:
-    def _losses(self, dataset, truth, model, plugin_config, batched, epochs=2):
+    def _losses(self, dataset, truth, model, plugin_config, trainer_cls, epochs=2):
         encoder = get_model(model).build(dataset, embedding_dim=8, seed=0)
         plugin = LHPlugin(plugin_config) if plugin_config is not None else None
-        trainer = SimilarityTrainer(encoder, plugin=plugin, seed=0, batched=batched)
+        trainer = trainer_cls(encoder, plugin=plugin, seed=0)
         return trainer.fit(dataset, truth, epochs=epochs).losses
 
     @pytest.mark.parametrize("model,plugin_config", [
@@ -280,23 +328,10 @@ class TestTrainingStepParity:
                                                         spatial_truth, model,
                                                         plugin_config):
         batched = self._losses(spatial_dataset, spatial_truth, model,
-                               plugin_config, batched=True)
+                               plugin_config, SimilarityTrainer)
         reference = self._losses(spatial_dataset, spatial_truth, model,
-                                 plugin_config, batched=False)
+                                 plugin_config, _OneItemTrainer)
         np.testing.assert_allclose(batched, reference, rtol=1e-7, atol=TOLERANCE)
-
-    def test_env_toggle_controls_default(self, monkeypatch, spatial_dataset):
-        encoder = get_model("meanpool").build(spatial_dataset, embedding_dim=8, seed=0)
-        monkeypatch.setenv("REPRO_TRAIN_BATCHED", "0")
-        assert not SimilarityTrainer(encoder).batched
-        monkeypatch.setenv("REPRO_TRAIN_BATCHED", "1")
-        assert SimilarityTrainer(encoder).batched
-        assert not SimilarityTrainer(encoder, batched=False).batched
-
-    def test_env_toggle_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRAIN_BATCHED", "garbage")
-        with pytest.raises(EnvError, match="REPRO_TRAIN_BATCHED"):
-            default_train_batched()
 
     def test_epoch_pairs_is_index_array(self, spatial_truth):
         sampler = PairSampler(spatial_truth, num_nearest=2, num_random=1, seed=0)

@@ -16,7 +16,19 @@ from repro.core import (
 from repro.core.projection import time_like_coordinate
 from repro.data import generate_dataset
 from repro.models import MeanPoolEncoder
-from repro.nn import Tensor
+from repro.nn import Tensor, pad_sequences
+
+
+def _one_item(points):
+    """A single point sequence as a one-item padded batch and its mask."""
+    padded, mask = pad_sequences([points])
+    return Tensor(padded), mask
+
+
+def _alpha(fusion, points_a, points_b):
+    """``α_Lo`` of one pair from one-item factor batches (a 1-element tensor)."""
+    return lorentz_proportion(*fusion.factors_batch([points_a]),
+                              *fusion.factors_batch([points_b]))
 
 
 class TestConfig:
@@ -56,26 +68,28 @@ class TestConfig:
 class TestFactorEncoderAndFusion:
     def test_factor_vectors_positive(self):
         encoder = FactorEncoder(LHPluginConfig(factor_dim=4, fusion_hidden=8))
-        v_lo, v_eu = encoder(np.random.default_rng(0).random((10, 2)))
+        v_lo, v_eu = encoder(*_one_item(np.random.default_rng(0).random((10, 2))))
         assert (v_lo.data > 0).all()
         assert (v_eu.data > 0).all()
-        assert v_lo.shape == (4,) and v_eu.shape == (4,)
+        assert v_lo.shape == (1, 4) and v_eu.shape == (1, 4)
 
     def test_mean_encoder_variant(self):
         encoder = FactorEncoder(LHPluginConfig(factor_dim=4, fusion_encoder="mean"))
-        v_lo, v_eu = encoder(np.random.default_rng(0).random((10, 2)))
-        assert v_lo.shape == (4,) and v_eu.shape == (4,)
+        v_lo, v_eu = encoder(*_one_item(np.random.default_rng(0).random((10, 2))))
+        assert v_lo.shape == (1, 4) and v_eu.shape == (1, 4)
 
     def test_rejects_non_sequence_input(self):
         encoder = FactorEncoder(LHPluginConfig())
         with pytest.raises(ValueError):
-            encoder(np.ones(4))
+            encoder(np.ones((4, 2)), np.ones(4))
 
     def test_lorentz_proportion_in_unit_interval(self):
         rng = np.random.default_rng(1)
         encoder = FactorEncoder(LHPluginConfig(factor_dim=4, fusion_hidden=8))
-        alpha = lorentz_proportion(*encoder(rng.random((8, 2))), *encoder(rng.random((12, 2))))
-        assert 0.0 < alpha.item() < 1.0
+        alpha = lorentz_proportion(*encoder(*_one_item(rng.random((8, 2)))),
+                                   *encoder(*_one_item(rng.random((12, 2)))))
+        assert alpha.shape == (1,)
+        assert 0.0 < alpha.data[0] < 1.0
 
     def test_fuse_distances_blend(self):
         fused = fuse_distances(Tensor(2.0), Tensor(4.0), Tensor(0.25))
@@ -85,15 +99,15 @@ class TestFactorEncoderAndFusion:
         fusion = DynamicFusion(LHPluginConfig(factor_dim=4, fusion_hidden=8))
         rng = np.random.default_rng(2)
         a, b = rng.random((7, 2)), rng.random((9, 2))
-        assert fusion.alpha(a, b).item() == pytest.approx(fusion.alpha(b, a).item())
+        assert _alpha(fusion, a, b).data[0] == pytest.approx(_alpha(fusion, b, a).data[0])
 
     def test_factors_numpy_matches_tensor_path(self):
         fusion = DynamicFusion(LHPluginConfig(factor_dim=4, fusion_hidden=8))
         sequences = [np.random.default_rng(i).random((6, 2)) for i in range(3)]
         lo, eu = fusion.factors_numpy(sequences)
-        v_lo, v_eu = fusion.factors(sequences[1])
-        np.testing.assert_allclose(lo[1], v_lo.data, atol=1e-12)
-        np.testing.assert_allclose(eu[1], v_eu.data, atol=1e-12)
+        v_lo, v_eu = fusion.factors_batch([sequences[1]])
+        np.testing.assert_allclose(lo[1], v_lo.data[0], atol=1e-12)
+        np.testing.assert_allclose(eu[1], v_eu.data[0], atol=1e-12)
 
     def test_alpha_matrix_matches_pairwise(self):
         fusion = DynamicFusion(LHPluginConfig(factor_dim=4, fusion_hidden=8))
@@ -102,7 +116,7 @@ class TestFactorEncoderAndFusion:
         matrix = DynamicFusion.alpha_matrix(factors, factors)
         assert matrix.shape == (4, 4)
         assert ((matrix > 0) & (matrix < 1)).all()
-        pair = fusion.alpha(sequences[0], sequences[2]).item()
+        pair = _alpha(fusion, sequences[0], sequences[2]).data[0]
         assert matrix[0, 2] == pytest.approx(pair, abs=1e-10)
 
 
@@ -118,27 +132,32 @@ class TestLHPlugin:
     def test_pair_distance_differentiable(self):
         plugin = self._plugin()
         rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=8), requires_grad=True)
-        b = Tensor(rng.normal(size=8), requires_grad=True)
-        distance = plugin.pair_distance(a, b, rng.random((5, 2)), rng.random((7, 2)))
-        distance.backward()
+        a = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
+        b = Tensor(rng.normal(size=(1, 8)), requires_grad=True)
+        distance = plugin.pair_distances_from(
+            a, b, plugin.fusion.factors_batch([rng.random((5, 2))]),
+            plugin.fusion.factors_batch([rng.random((7, 2))]))
+        distance.sum().backward()
         assert a.grad is not None and b.grad is not None
-        assert float(distance.data) >= 0.0
+        assert distance.shape == (1,)
+        assert distance.data[0] >= 0.0
 
     def test_pair_distance_requires_points_when_fusion_enabled(self):
         plugin = self._plugin()
         with pytest.raises(ValueError):
-            plugin.pair_distance(Tensor(np.ones(4)), Tensor(np.ones(4)))
+            plugin.pair_distances_from(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 4))))
 
     def test_pure_lorentz_plugin_needs_no_points(self):
         plugin = self._plugin(use_fusion=False)
-        distance = plugin.pair_distance(Tensor(np.ones(4)), Tensor(np.zeros(4)))
-        assert float(distance.data) > 0.0
+        distance = plugin.pair_distances_from(Tensor(np.ones((1, 4))),
+                                              Tensor(np.zeros((1, 4))))
+        assert distance.data[0] > 0.0
 
     def test_self_distance_zero(self):
         plugin = self._plugin(use_fusion=False)
-        embedding = Tensor(np.random.default_rng(1).normal(size=6))
-        assert plugin.pair_distance(embedding, embedding).item() == pytest.approx(0.0, abs=1e-9)
+        embedding = Tensor(np.random.default_rng(1).normal(size=(1, 6)))
+        distance = plugin.pair_distances_from(embedding, embedding)
+        assert distance.data[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_embed_database_contents(self):
         plugin = self._plugin()
@@ -183,8 +202,10 @@ class TestLHPlugin:
         matrix = plugin.distance_matrix(database)
         for i in range(4):
             for j in range(4):
-                expected = plugin.pair_distance(Tensor(embeddings[i]), Tensor(embeddings[j]),
-                                                sequences[i], sequences[j]).item()
+                expected = plugin.pair_distances_from(
+                    Tensor(embeddings[i:i + 1]), Tensor(embeddings[j:j + 1]),
+                    plugin.fusion.factors_batch([sequences[i]]),
+                    plugin.fusion.factors_batch([sequences[j]])).data[0]
                 # The training path adds a tiny epsilon inside sqrt/pow for gradient
                 # safety, so the two paths agree only up to ~1e-6.
                 assert matrix[i, j] == pytest.approx(expected, abs=1e-5)
@@ -214,7 +235,7 @@ class TestPluggedEncoder:
         plugged = PluggedEncoder(base, LHPlugin(LHPluginConfig(factor_dim=4, fusion_hidden=8)))
         assert plugged.embedding_dim == 8
         prepared = plugged.prepare(dataset[0])
-        assert plugged.encode(prepared).shape == (8,)
+        assert plugged.encode_batch([prepared]).shape == (1, 8)
 
     def test_pair_distance_and_embed_many(self):
         dataset = generate_dataset("chengdu", size=6, seed=1)
@@ -222,7 +243,9 @@ class TestPluggedEncoder:
         plugin = LHPlugin(LHPluginConfig(use_fusion=False))
         plugged = PluggedEncoder(base, plugin)
         prepared = [plugged.prepare(t) for t in dataset]
-        distance = plugged.pair_distance(prepared[0], prepared[1])
-        assert float(distance.data) >= 0.0
+        embeddings = plugged.encode_batch(prepared[:2])
+        distance = plugin.pair_distances_from(embeddings[:1], embeddings[1:])
+        assert distance.shape == (1,)
+        assert distance.data[0] >= 0.0
         embeddings = plugged.embed_many(prepared)
         assert embeddings.shape == (6, 8)

@@ -50,7 +50,7 @@ class TestRegistry:
         with pytest.raises(NotImplementedError):
             encoder.prepare(None)
         with pytest.raises(NotImplementedError):
-            encoder.encode(None)
+            encoder.encode_batch([None])
         with pytest.raises(ValueError):
             TrajectoryEncoder(embedding_dim=0)
 
@@ -60,8 +60,8 @@ class TestSpatialModels:
     def test_build_and_encode_shape(self, encoder_cls, spatial_dataset):
         encoder = encoder_cls.build(spatial_dataset, embedding_dim=8, seed=0)
         prepared = encoder.prepare(spatial_dataset[0])
-        embedding = encoder.encode(prepared)
-        assert embedding.shape == (8,)
+        embedding = encoder.encode_batch([prepared])
+        assert embedding.shape == (1, 8)
         assert np.isfinite(embedding.data).all()
 
     @pytest.mark.parametrize("encoder_cls", SPATIAL_MODELS)
@@ -69,22 +69,21 @@ class TestSpatialModels:
         first = encoder_cls.build(spatial_dataset, embedding_dim=8, seed=3)
         second = encoder_cls.build(spatial_dataset, embedding_dim=8, seed=3)
         with no_grad():
-            a = first.encode(first.prepare(spatial_dataset[1])).data
-            b = second.encode(second.prepare(spatial_dataset[1])).data
+            a = first.encode_batch([first.prepare(spatial_dataset[1])]).data
+            b = second.encode_batch([second.prepare(spatial_dataset[1])]).data
         np.testing.assert_allclose(a, b)
 
     @pytest.mark.parametrize("encoder_cls", SPATIAL_MODELS)
     def test_different_trajectories_differ(self, encoder_cls, spatial_dataset):
         encoder = encoder_cls.build(spatial_dataset, embedding_dim=8, seed=0)
         with no_grad():
-            a = encoder.encode(encoder.prepare(spatial_dataset[0])).data
-            b = encoder.encode(encoder.prepare(spatial_dataset[1])).data
+            a, b = encoder.encode_batch(encoder.prepare_batch(spatial_dataset[:2])).data
         assert not np.allclose(a, b)
 
     @pytest.mark.parametrize("encoder_cls", SPATIAL_MODELS)
     def test_gradients_reach_parameters(self, encoder_cls, spatial_dataset):
         encoder = encoder_cls.build(spatial_dataset, embedding_dim=8, seed=0)
-        embedding = encoder.encode(encoder.prepare(spatial_dataset[0]))
+        embedding = encoder.encode_batch([encoder.prepare(spatial_dataset[0])])
         (embedding * embedding).sum().backward()
         grads = [p.grad is not None for p in encoder.parameters()]
         assert any(grads)
@@ -112,9 +111,10 @@ class TestModelSpecificBehaviour:
     def test_traj2simvec_prefixes(self, spatial_dataset):
         encoder = Traj2SimVecEncoder.build(spatial_dataset, embedding_dim=8, num_splits=3)
         prepared = encoder.prepare(spatial_dataset[0])
-        full, prefixes = encoder.encode_with_prefixes(prepared)
-        assert full.shape == (8,)
+        full, prefixes = encoder.encode_batch_with_prefixes([prepared])
+        assert full.shape == (1, 8)
         assert len(prefixes) == 3
+        assert all(prefix.shape == (1, 8) for prefix in prefixes)
         lengths = encoder.prefix_lengths(prepared)
         assert lengths == sorted(lengths)
         assert lengths[-1] <= len(prepared)
@@ -132,8 +132,8 @@ class TestTemporalModels:
     @pytest.mark.parametrize("encoder_cls", TEMPORAL_MODELS)
     def test_build_and_encode_shape(self, encoder_cls, temporal_dataset):
         encoder = encoder_cls.build(temporal_dataset, embedding_dim=8, seed=0)
-        embedding = encoder.encode(encoder.prepare(temporal_dataset[0]))
-        assert embedding.shape == (8,)
+        embedding = encoder.encode_batch([encoder.prepare(temporal_dataset[0])])
+        assert embedding.shape == (1, 8)
         assert np.isfinite(embedding.data).all()
 
     @pytest.mark.parametrize("encoder_cls", TEMPORAL_MODELS)

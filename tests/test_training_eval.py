@@ -64,55 +64,13 @@ class TestPairSampler:
     def test_target_of(self):
         matrix = self._matrix()
         sampler = PairSampler(matrix)
-        assert sampler.target_of((1, 2)) == pytest.approx(matrix[1, 2])
+        assert sampler.targets_of(np.array([[1, 2]])) == pytest.approx([matrix[1, 2]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
             PairSampler(np.zeros((3, 4)))
         with pytest.raises(ValueError):
             PairSampler(self._matrix(), num_nearest=0, num_random=0)
-
-    def test_length_buckets_group_batches_without_changing_pairs(self):
-        matrix = self._matrix(n=24)
-        rng = np.random.default_rng(3)
-        lengths = rng.integers(2, 60, size=24)
-        plain = PairSampler(matrix, num_nearest=2, num_random=2, seed=7)
-        bucketed = PairSampler(matrix, num_nearest=2, num_random=2, seed=7,
-                               lengths=lengths, length_buckets=4)
-        plain_pairs = plain.epoch_pairs()
-        bucketed_pairs = bucketed.epoch_pairs()
-        # Same multiset of pairs — bucketing only reorders the epoch.
-        assert (sorted(map(tuple, plain_pairs.tolist()))
-                == sorted(map(tuple, bucketed_pairs.tolist())))
-        # Bucket ids must be non-decreasing along the epoch (grouped batches).
-        pair_lengths = np.maximum(lengths[bucketed_pairs[:, 0]],
-                                  lengths[bucketed_pairs[:, 1]])
-        edges = np.quantile(pair_lengths, np.linspace(0, 1, 5)[1:-1])
-        buckets = np.searchsorted(edges, pair_lengths, side="right")
-        assert (np.diff(buckets) >= 0).all()
-        # Grouping reduces the padded waste of fixed-size batches.
-        def padded_waste(pairs, batch=8):
-            waste = 0
-            for start in range(0, len(pairs), batch):
-                chunk = np.maximum(lengths[pairs[start:start + batch, 0]],
-                                   lengths[pairs[start:start + batch, 1]])
-                waste += int((chunk.max() - chunk).sum())
-            return waste
-        assert padded_waste(bucketed_pairs) <= padded_waste(plain_pairs)
-
-    def test_length_buckets_are_deterministic_under_a_seed(self):
-        matrix = self._matrix(n=16)
-        lengths = np.arange(16) * 3 + 2
-        first = PairSampler(matrix, seed=11, lengths=lengths, length_buckets=3)
-        second = PairSampler(matrix, seed=11, lengths=lengths, length_buckets=3)
-        np.testing.assert_array_equal(first.epoch_pairs(), second.epoch_pairs())
-        np.testing.assert_array_equal(first.epoch_pairs(), second.epoch_pairs())
-
-    def test_length_buckets_validation(self):
-        with pytest.raises(ValueError):
-            PairSampler(self._matrix(), length_buckets=2)
-        with pytest.raises(ValueError):
-            PairSampler(self._matrix(), lengths=np.arange(3), length_buckets=2)
 
     def test_sample_triplets_properties(self):
         matrix = self._matrix()
